@@ -99,7 +99,7 @@ class Circuit:
 
     def append(self, instr: Instruction) -> None:
         self._check_qubits(instr.qubits)
-        if instr.gate not in (Gate.MEASURE, Gate.RESET, Gate.BARRIER):
+        if instr.gate.is_unitary:
             if len(instr.qubits) != instr.gate.n_qubits:
                 raise ValueError(f"{instr.gate.value} takes {instr.gate.n_qubits} qubits")
             if len(instr.params) != instr.gate.n_params:

@@ -1,9 +1,11 @@
 """State-vector engine with assertion-based mid-circuit measurement.
 
 Amplitudes are a dense complex128 array indexed little-endian: qubit 0 is
-the least significant bit of the basis index.  Kernels write into a single
-reusable scratch buffer and swap it with the live array, so memory stays at
-two vectors regardless of circuit depth.
+the least significant bit of the basis index.  The 1- and 2-qubit kernels
+write into a single reusable scratch buffer and swap it with the live array,
+so memory stays at two vectors regardless of circuit depth.  Gates on three
+or more qubits go through :func:`apply_dense`, which allocates a new vector
+per call.
 
 Two execution modes:
 
@@ -24,19 +26,21 @@ search.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuit import Circuit
-from .errors import FilterAssertionError, MmaStructureError, ProjectionError
-from .gates import Gate
+from .errors import (FilterAssertionError, MmaStructureError, ProjectionError,
+                     ResourceLimitError)
+from .gates import Gate, gate_matrix, swap_conjugate
 from .hamiltonian import PauliHamiltonian, apply_pauli_string
 
 EPS_MMA = 1e-12          # assertion fails below this |0> probability
 _NORM_ATOL = 1e-9        # accepted state-norm drift
-_SWAP_PERM = (0, 2, 1, 3)  # exchanges the two slot roles of a 4x4 matrix
+_X = gate_matrix(Gate.X)  # flips a reset qubit back to |0>
 
 
 class StateVector:
@@ -47,6 +51,13 @@ class StateVector:
     def __init__(self, n_qubits: int):
         if n_qubits < 1:
             raise ValueError("need at least one qubit")
+        # state plus scratch is 32 * 2^n bytes; compare exponents so a huge
+        # n is refused without forming 2^n
+        phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if n_qubits + 5 >= phys.bit_length():
+            raise ResourceLimitError(
+                f"{n_qubits} qubits need 2^{n_qubits + 5} bytes for state and scratch, "
+                f"more than the {phys} bytes of physical memory")
         self.n_qubits = n_qubits
         self.amps = np.zeros(1 << n_qubits, dtype=np.complex128)
         self.amps[0] = 1.0
@@ -89,15 +100,56 @@ def _check_qubit(state: StateVector, q: int) -> None:
         raise ValueError(f"qubit {q} out of range for {state.n_qubits} qubits")
 
 
+# Unchecked kernels, one per gate width.  The execution plan calls them
+# directly; the public apply_* functions validate and then call them.
+
+def _kernel_1q(state: StateVector, u: np.ndarray, q: int) -> None:
+    a, s = state.amps, state.scratch()
+    np.einsum("ab,rbt->rat", u, a.reshape(-1, 2, 1 << q), out=s.reshape(-1, 2, 1 << q))
+    state.amps, state._scratch = s, a
+
+
+def _kernel_2q(state: StateVector, u4: np.ndarray, p: int, q: int) -> None:
+    # u4 is the 4x4 matrix reshaped to (2, 2, 2, 2); operands ordered p < q
+    a, s = state.amps, state.scratch()
+    shape = (-1, 2, 1 << (q - p - 1), 2, 1 << p)
+    np.einsum("QPqp,rqmpt->rQmPt", u4, a.reshape(shape), out=s.reshape(shape))
+    state.amps, state._scratch = s, a
+
+
+def _kernel_dense(state: StateVector, u: np.ndarray, qubits: tuple[int, ...]) -> None:
+    k = len(qubits)
+    n = state.n_qubits
+    psi = state.amps.reshape((2,) * n)
+    # tensor axis j holds qubit n-1-j; put slots high-to-low in front so the
+    # flattened row index reads sum(slot_j * 2^j)
+    src = [n - 1 - qubits[j] for j in range(k - 1, -1, -1)]
+    moved = np.moveaxis(psi, src, range(k))
+    res = u @ moved.reshape(1 << k, -1)
+    state.amps = np.moveaxis(res.reshape(moved.shape), range(k), src).ravel()
+    state._scratch = None
+
+
+def _bind(u: np.ndarray, qubits: tuple[int, ...]):
+    """The kernel for a gate matrix on the given qubits, with its arguments;
+    a reversed 2-qubit operand pair is reordered by SWAP conjugation."""
+    if len(qubits) == 1:
+        return _kernel_1q, (u, qubits[0])
+    if len(qubits) == 2:
+        a, b = qubits
+        if a > b:
+            u, a, b = swap_conjugate(u), b, a
+        return _kernel_2q, (u.reshape(2, 2, 2, 2), a, b)
+    return _kernel_dense, (u, qubits)
+
+
 def apply_1q(state: StateVector, u: np.ndarray, q: int) -> StateVector:
     """In-place 1-qubit update; pairs (s, s + 2^q) with s ranging over
     floor(i / 2^q) * 2^(q+1) + (i mod 2^q)."""
     _check_qubit(state, q)
     if u.shape != (2, 2):
         raise ValueError("matrix must be 2x2")
-    a, s = state.amps, state.scratch()
-    np.einsum("ab,rbt->rat", u, a.reshape(-1, 2, 1 << q), out=s.reshape(-1, 2, 1 << q))
-    state.amps, state._scratch = s, a
+    _kernel_1q(state, u, q)
     return state
 
 
@@ -113,18 +165,8 @@ def apply_2q(state: StateVector, u: np.ndarray, p: int, q: int) -> StateVector:
         raise ValueError("qubits must be ordered p < q")
     if u.shape != (4, 4):
         raise ValueError("matrix must be 4x4")
-    a, s = state.amps, state.scratch()
-    shape = (-1, 2, 1 << (q - p - 1), 2, 1 << p)
-    np.einsum("QPqp,rqmpt->rQmPt", u.reshape(2, 2, 2, 2),
-              a.reshape(shape), out=s.reshape(shape))
-    state.amps, state._scratch = s, a
+    _kernel_2q(state, u.reshape(2, 2, 2, 2), p, q)
     return state
-
-
-def swap_conjugate(u: np.ndarray) -> np.ndarray:
-    """Reindex a 4x4 matrix as if its two qubit slots were exchanged."""
-    perm = list(_SWAP_PERM)
-    return np.ascontiguousarray(u[np.ix_(perm, perm)])
 
 
 def apply_dense(state: StateVector, u: np.ndarray, qubits: tuple[int, ...]) -> StateVector:
@@ -135,24 +177,10 @@ def apply_dense(state: StateVector, u: np.ndarray, qubits: tuple[int, ...]) -> S
         raise ValueError(f"duplicate qubit in {qubits}")
     if u.shape != (1 << k, 1 << k):
         raise ValueError(f"matrix must be {1 << k}x{1 << k}")
-    if k == 1:
-        return apply_1q(state, u, qubits[0])
-    if k == 2:
-        a, b = qubits
-        if a < b:
-            return apply_2q(state, u, a, b)
-        return apply_2q(state, swap_conjugate(u), b, a)
     for q in qubits:
         _check_qubit(state, q)
-    n = state.n_qubits
-    psi = state.amps.reshape((2,) * n)
-    # tensor axis j holds qubit n-1-j; put slots high-to-low in front so the
-    # flattened row index reads sum(slot_j * 2^j)
-    src = [n - 1 - qubits[j] for j in range(k - 1, -1, -1)]
-    moved = np.moveaxis(psi, src, range(k))
-    res = u @ moved.reshape(1 << k, -1)
-    state.amps = np.moveaxis(res.reshape(moved.shape), range(k), src).ravel()
-    state._scratch = None
+    kernel, args = _bind(u, qubits)
+    kernel(state, *args)
     return state
 
 
@@ -288,23 +316,31 @@ class RunReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-# compiled-plan opcodes
-_OP_1Q, _OP_2Q, _OP_KQ, _OP_MEASURE, _OP_RESET = range(5)
+# plan opcodes besides the gate kernels
+_OP_MEASURE, _OP_RESET = "measure", "reset"
+
+
+def _sampling_start(instrs) -> int:
+    """Index of the trailing measure/barrier block, the sampling point;
+    everything before it executes."""
+    start = len(instrs)
+    while start > 0 and instrs[start - 1].gate in (Gate.MEASURE, Gate.BARRIER):
+        start -= 1
+    return start
 
 
 def _compile(circuit: Circuit, mode: str, ancilla: int | None):
-    """Resolve matrices, normalize 2q operand order, classify measurements.
+    """Resolve matrices, bind each gate to its kernel, classify measurements.
 
-    Returns (plan, n_steps, final_measures).  The trailing run of
-    measure/barrier instructions is the sampling point; everything before it
-    executes.  In mma mode the layout is validated: mid-circuit measures hit
-    the ancilla and pair with a following reset of it, and every reset is
+    Returns (plan, n_steps): a list of (op, args) pairs over the
+    instructions before the sampling block, where op is a gate kernel,
+    _OP_MEASURE with args (qubit, step) or _OP_RESET with args (qubit,).
+    In mma mode the layout is validated: mid-circuit measures hit the
+    ancilla and pair with a following reset of it, and every reset is
     preceded by such a measure.
     """
     instrs = circuit.instructions
-    final_start = len(instrs)
-    while final_start > 0 and instrs[final_start - 1].gate in (Gate.MEASURE, Gate.BARRIER):
-        final_start -= 1
+    final_start = _sampling_start(instrs)
 
     if mode == "mma":
         if ancilla is None or not 0 <= ancilla < circuit.n_qubits:
@@ -339,28 +375,13 @@ def _compile(circuit: Circuit, mode: str, ancilla: int | None):
         if g is Gate.BARRIER:
             continue
         if g is Gate.MEASURE:
-            plan.append((_OP_MEASURE, ins.qubits[0], ins.cbit, step))
+            plan.append((_OP_MEASURE, (ins.qubits[0], step)))
             step += 1
         elif g is Gate.RESET:
-            plan.append((_OP_RESET, ins.qubits[0]))
+            plan.append((_OP_RESET, ins.qubits))
         else:
-            m = ins.resolved_matrix()
-            qs = ins.qubits
-            if len(qs) == 1:
-                plan.append((_OP_1Q, m, qs[0]))
-            elif len(qs) == 2:
-                a, b = qs
-                if a < b:
-                    plan.append((_OP_2Q, m.reshape(2, 2, 2, 2), a, b))
-                else:
-                    plan.append((_OP_2Q, swap_conjugate(m).reshape(2, 2, 2, 2), b, a))
-            else:
-                plan.append((_OP_KQ, m, qs))
-
-    final_measures = [(instrs[pos].qubits[0], instrs[pos].cbit)
-                      for pos in range(final_start, len(instrs))
-                      if instrs[pos].gate is Gate.MEASURE]
-    return plan, step, final_measures
+            plan.append(_bind(ins.resolved_matrix(), ins.qubits))
+    return plan, step
 
 
 def infer_ancilla(circuit: Circuit) -> int | None:
@@ -371,26 +392,23 @@ def infer_ancilla(circuit: Circuit) -> int | None:
     hit more than one qubit.
     """
     instrs = circuit.instructions
-    final_start = len(instrs)
-    while final_start > 0 and instrs[final_start - 1].gate in (Gate.MEASURE, Gate.BARRIER):
-        final_start -= 1
-    targets = {ins.qubits[0] for ins in instrs[:final_start] if ins.gate is Gate.MEASURE}
+    targets = {ins.qubits[0] for ins in instrs[:_sampling_start(instrs)]
+               if ins.gate is Gate.MEASURE}
     if len(targets) == 1:
         return targets.pop()
     return None
 
 
-def _run_gates_only(state: StateVector, entry) -> None:
-    code = entry[0]
-    if code == _OP_1Q:
-        apply_1q(state, entry[1], entry[2])
-    elif code == _OP_2Q:
-        a, s = state.amps, state.scratch()
-        shape = (-1, 2, 1 << (entry[3] - entry[2] - 1), 2, 1 << entry[2])
-        np.einsum("QPqp,rqmpt->rQmPt", entry[1], a.reshape(shape), out=s.reshape(shape))
-        state.amps, state._scratch = s, a
-    else:
-        apply_dense(state, entry[1], entry[2])
+def _execute_mma(state: StateVector, plan) -> list[float]:
+    """Run a compiled plan in one pass, asserting |0> at every mid-circuit
+    measurement; returns the assertion probabilities in order."""
+    assert_probs: list[float] = []
+    for op, args in plan:
+        if op is _OP_MEASURE:
+            assert_probs.append(assert_measure(state, *args))
+        elif op is not _OP_RESET:  # the paired assertion already left |0>
+            op(state, *args)
+    return assert_probs
 
 
 def run(circuit: Circuit, mode: str, shots: int, seed: int, ancilla: int | None,
@@ -408,19 +426,11 @@ def run(circuit: Circuit, mode: str, shots: int, seed: int, ancilla: int | None,
         raise ValueError("shots must be positive")
     rng = _as_rng(seed)
     t0 = time.perf_counter()
-    plan, n_steps, _ = _compile(circuit, mode, ancilla)
+    plan, n_steps = _compile(circuit, mode, ancilla)
     state = StateVector(circuit.n_qubits)
 
     if mode == "mma":
-        assert_probs: list[float] = []
-        for entry in plan:
-            code = entry[0]
-            if code == _OP_MEASURE:
-                assert_probs.append(assert_measure(state, entry[1], step=entry[3]))
-            elif code == _OP_RESET:
-                pass  # the paired assertion already left the qubit in |0>
-            else:
-                _run_gates_only(state, entry)
+        assert_probs = _execute_mma(state, plan)
         energy = expectation_pauli(state, hamiltonian) if hamiltonian is not None else None
         samples = sample(state, shots, rng)
         report = RunReport(
@@ -436,27 +446,26 @@ def run(circuit: Circuit, mode: str, shots: int, seed: int, ancilla: int | None,
         for _ in range(shots):
             state.restart()
             ok = True
-            for entry in plan:
-                code = entry[0]
-                if code == _OP_MEASURE:
-                    q = entry[1]
+            for op, args in plan:
+                if op is _OP_MEASURE:
+                    q, step = args
                     p0 = _branch_probability(state.amps, q, 0)
                     outcome = 0 if rng.random() < p0 else 1
                     if outcome == 1:
                         # later outcomes cannot change rejection; stop early
-                        step_rejections[entry[3]] += 1
+                        step_rejections[step] += 1
                         ok = False
                         break
                     _project(state.amps, q, 0, p0)
-                elif code == _OP_RESET:
-                    q = entry[1]
+                elif op is _OP_RESET:
+                    q = args[0]
                     p0 = _branch_probability(state.amps, q, 0)
                     outcome = 0 if rng.random() < p0 else 1
                     _project(state.amps, q, outcome, p0 if outcome == 0 else 1.0 - p0)
                     if outcome == 1:
-                        apply_1q(state, np.array([[0, 1], [1, 0]], dtype=complex), q)
+                        _kernel_1q(state, _X, q)
                 else:
-                    _run_gates_only(state, entry)
+                    op(state, *args)
             if ok:
                 accepted += 1
                 for key, cnt in sample(state, 1, rng).items():

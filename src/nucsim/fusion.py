@@ -26,12 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, Instruction
-from .gates import Gate
-
-_MARKERS = (Gate.MEASURE, Gate.RESET, Gate.BARRIER)
+from .gates import Gate, swap_conjugate
 
 _ID2 = np.eye(2, dtype=complex)
-_SWAP_PERM = (0, 2, 1, 3)
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,13 +67,9 @@ class FusionStats:
         }
 
 
-def _is_gate(ins: Instruction) -> bool:
-    return ins.gate not in _MARKERS
-
-
 def gate_count(circuit: Circuit) -> int:
     """Unitary gate count; measure, reset and barrier do not count."""
-    return sum(1 for ins in circuit.instructions if _is_gate(ins))
+    return circuit.gate_count()
 
 
 def _push(circuit: Circuit, ins: Instruction) -> int:
@@ -115,7 +108,7 @@ def merge_1q(circuit: Circuit) -> Circuit:
             dest[run[0]] = _c1(q, run[1])
 
     for ins in circuit.instructions:
-        if _is_gate(ins) and len(ins.qubits) == 1:
+        if ins.is_gate and len(ins.qubits) == 1:
             q = ins.qubits[0]
             run = pending.get(q)
             if run is None:
@@ -153,22 +146,22 @@ def _absorb_sweep(circuit: Circuit) -> tuple[Circuit, bool]:
     changed = False
 
     for ins in circuit.instructions:
-        if _is_gate(ins) and len(ins.qubits) == 1:
+        if ins.is_gate and len(ins.qubits) == 1:
             q = ins.qubits[0]
             j = last.get(q)
             prev = dest[j] if j is not None else None
-            if prev is not None and _is_gate(prev) and len(prev.qubits) == 2:
+            if prev is not None and prev.is_gate and len(prev.qubits) == 2:
                 slot = prev.qubits.index(q)
                 merged = _lift(ins.resolved_matrix(), slot) @ prev.resolved_matrix()
                 dest[j] = _c2(prev.qubits, merged)
                 changed = True
                 continue
-        elif _is_gate(ins) and len(ins.qubits) == 2:
+        elif ins.is_gate and len(ins.qubits) == 2:
             matrix = None
             for slot, q in enumerate(ins.qubits):
                 j = last.get(q)
                 prev = dest[j] if j is not None else None
-                if prev is not None and _is_gate(prev) and len(prev.qubits) == 1:
+                if prev is not None and prev.is_gate and len(prev.qubits) == 1:
                     if matrix is None:
                         matrix = ins.resolved_matrix()
                     matrix = matrix @ _lift(prev.resolved_matrix(), slot)
@@ -192,9 +185,8 @@ def normalize_2q_order(circuit: Circuit) -> Circuit:
     """
     out = circuit.copy_empty()
     for ins in circuit.instructions:
-        if _is_gate(ins) and len(ins.qubits) == 2 and ins.qubits[0] > ins.qubits[1]:
-            m = ins.resolved_matrix()[np.ix_(_SWAP_PERM, _SWAP_PERM)]
-            ins = _c2((ins.qubits[1], ins.qubits[0]), np.ascontiguousarray(m))
+        if ins.is_gate and len(ins.qubits) == 2 and ins.qubits[0] > ins.qubits[1]:
+            ins = _c2((ins.qubits[1], ins.qubits[0]), swap_conjugate(ins.resolved_matrix()))
         _push(out, ins)
     return out
 
@@ -221,7 +213,7 @@ def fuse_2q(circuit: Circuit) -> Circuit:
             flush(pair)
 
     for ins in circuit.instructions:
-        if _is_gate(ins) and len(ins.qubits) == 2:
+        if ins.is_gate and len(ins.qubits) == 2:
             pair = ins.qubits
             flush_touching(pair, keep=pair)
             run = pending.get(pair)

@@ -70,6 +70,12 @@ class Gate(Enum):
     RESET = "reset"
     BARRIER = "barrier"
 
+    def __init__(self, tag: str):
+        # a plain member attribute, not a property: fusion asks it once per
+        # instruction per pass, and an enum property that looks up members
+        # costs about 1 us on CPython 3.11
+        self.is_unitary = tag not in ("measure", "reset", "barrier")
+
     @property
     def n_qubits(self) -> int:
         return _N_QUBITS[self]
@@ -77,10 +83,6 @@ class Gate(Enum):
     @property
     def n_params(self) -> int:
         return _N_PARAMS[self]
-
-    @property
-    def is_unitary(self) -> bool:
-        return self not in (Gate.MEASURE, Gate.RESET, Gate.BARRIER)
 
 
 _N_QUBITS = {
@@ -105,8 +107,7 @@ _N_PARAMS.update({
     Gate.RXX: 1, Gate.RZZ: 1,
 })
 
-QASM_NAMES = {g.value: g for g in Gate
-              if g not in (Gate.C1, Gate.C2, Gate.MEASURE, Gate.RESET, Gate.BARRIER)}
+QASM_NAMES = {g.value: g for g in Gate if g.is_unitary and g not in (Gate.C1, Gate.C2)}
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -114,6 +115,7 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT1_2
 _SQRT_X = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
+_SWAP_PERM = (0, 2, 1, 3)  # exchanges the two slot roles of a 4x4 matrix
 
 
 def _u3(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -175,6 +177,11 @@ def _compose(n_slots: int, ops: list[tuple[np.ndarray, tuple[int, ...]]]) -> np.
     for u, slots in ops:
         acc = _lift(u, slots, n_slots) @ acc
     return acc
+
+
+def swap_conjugate(u: np.ndarray) -> np.ndarray:
+    """Reindex a 4x4 matrix as if its two qubit slots were exchanged."""
+    return np.ascontiguousarray(u[np.ix_(_SWAP_PERM, _SWAP_PERM)])
 
 
 def _swap_matrix() -> np.ndarray:
@@ -282,7 +289,7 @@ def _matrix_cached(gate: Gate, params: tuple[float, ...]) -> np.ndarray:
 
 def gate_matrix(gate: Gate, params: tuple[float, ...] = ()) -> np.ndarray:
     """Dense matrix of a named gate; raises for measure/reset/barrier/C1/C2."""
-    if gate in (Gate.MEASURE, Gate.RESET, Gate.BARRIER):
+    if not gate.is_unitary:
         raise ValueError(f"{gate.value} is not a unitary gate")
     if gate in (Gate.C1, Gate.C2):
         raise ValueError(f"{gate.value} carries its matrix on the instruction")

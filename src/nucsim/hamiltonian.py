@@ -157,24 +157,6 @@ class PauliHamiltonian:
             out += acc
         return out
 
-    def apply_to_vector(self, vec: np.ndarray, out: np.ndarray | None = None,
-                        scratch: np.ndarray | None = None) -> np.ndarray:
-        """Matrix-free H @ vec, applying one term at a time."""
-        dim = 2 ** self.n_qubits
-        if vec.shape != (dim,):
-            raise ValueError(f"vector must have length {dim}")
-        if out is None:
-            out = np.zeros(dim, dtype=complex)
-        else:
-            out[:] = 0
-        if scratch is None:
-            scratch = np.empty(dim, dtype=complex)
-        for letters, coeff in self.terms.items():
-            np.copyto(scratch, vec)
-            apply_pauli_string(scratch, letters)
-            out += coeff * scratch
-        return out
-
 
 def apply_pauli_string(vec: np.ndarray, letters: str) -> None:
     """In-place P|v> for a Pauli word (character position = qubit index)."""

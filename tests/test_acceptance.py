@@ -16,50 +16,25 @@ import pytest
 
 import oracles
 from nucsim import (FilterSchedule, PauliHamiltonian, StateVector, TrialState,
-                    apply_1q, apply_2q, apply_cos_filter, apply_dense,
-                    assert_measure, build_filter_circuit, default_schedule,
+                    apply_1q, apply_2q, apply_cos_filter,
+                    build_filter_circuit, default_schedule,
                     fuse_pipeline, gate_count, ground_state, jw_annihilation,
                     lcu_coefficients, lcu_reference, lcu_success_probability,
                     predicted_amplitude, run, shift_rescale, success_product)
 from nucsim import engine
 from nucsim.cli import main as cli_main
 from nucsim.engine import swap_conjugate
-from nucsim.gates import Gate
 
 TABLE_PROBS = [0.29602, 0.48617, 0.69349, 0.74823, 0.73060, 0.77238,
                0.93470, 0.95811]
 
 
-def final_state(circuit) -> np.ndarray:
-    """Normalized pre-sampling state, asserting |0> at mid-circuit measures.
-
-    Routes gate widths the same way the execution plan does, through the
-    public kernels.
-    """
-    instrs = circuit.instructions
-    end = len(instrs)
-    while end > 0 and instrs[end - 1].gate in (Gate.MEASURE, Gate.BARRIER):
-        end -= 1
+def final_state(circuit, ancilla: int) -> np.ndarray:
+    """Normalized pre-sampling state, asserting |0> at mid-circuit measures,
+    from the engine's own mma plan executor."""
+    plan, _ = engine._compile(circuit, "mma", ancilla)
     state = StateVector(circuit.n_qubits)
-    for ins in instrs[:end]:
-        g = ins.gate
-        if g is Gate.BARRIER or g is Gate.RESET:
-            continue
-        if g is Gate.MEASURE:
-            assert_measure(state, ins.qubits[0])
-            continue
-        m = ins.resolved_matrix()
-        qs = ins.qubits
-        if len(qs) == 1:
-            apply_1q(state, m, qs[0])
-        elif len(qs) == 2:
-            a, b = qs
-            if a < b:
-                apply_2q(state, m, a, b)
-            else:
-                apply_2q(state, swap_conjugate(m), b, a)
-        else:
-            apply_dense(state, m, qs)
+    engine._execute_mma(state, plan)
     return state.amps.copy()
 
 
@@ -136,7 +111,7 @@ def test_criterion_02_mma_equals_postselection(capsys):
             probs, want_state = oracles.circuit_states(circuit)
         except AssertionError:
             continue                              # dead assertion branch
-        got_state = final_state(circuit)
+        got_state = final_state(circuit, n_system)
         fidelity = abs(np.vdot(want_state, got_state)) ** 2
         assert fidelity >= 1.0 - 1e-9
         report = run(circuit, "mma", shots=32, seed=seed, ancilla=n_system)
@@ -252,7 +227,7 @@ def test_criterion_05_exact_gap_removal(capsys):
     assert weight >= 0.5
     circuit = build_filter_circuit(shifted, schedule, 1024,
                                    TrialState.basis("00"), 2)
-    amps = final_state(circuit)
+    amps = final_state(circuit, 2)
     gap_state = np.concatenate([vectors[:, 1], np.zeros(4)])  # ancilla |0>
     population = abs(np.vdot(gap_state, amps)) ** 2
     assert population < 1e-6
@@ -370,7 +345,7 @@ def test_criterion_09_scale_smoke(capsys):
     assert n_gates >= 1_000_000
 
     fused, stats = fuse_pipeline(circuit)
-    plan, n_steps, _ = engine._compile(fused, "mma", n)
+    plan, n_steps = engine._compile(fused, "mma", n)
     del circuit
     gc.collect()
 
@@ -379,15 +354,7 @@ def test_criterion_09_scale_smoke(capsys):
     budget = int(1.5 * (2 * 16 * 2 ** 16))
     tracemalloc.start()
     state = StateVector(16)
-    probs = []
-    for entry in plan:
-        code = entry[0]
-        if code == engine._OP_MEASURE:
-            probs.append(assert_measure(state, entry[1], step=entry[3]))
-        elif code == engine._OP_RESET:
-            pass
-        else:
-            engine._run_gates_only(state, entry)
+    probs = engine._execute_mma(state, plan)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     samples = engine.sample(state, 64, np.random.default_rng(5))

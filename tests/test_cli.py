@@ -88,6 +88,23 @@ def test_resource_guard_exits_4(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_simulate_too_wide_register_exits_4(tmp_path, capsys):
+    # refused by the state-vector width guard before any allocation
+    path = tmp_path / "wide.qasm"
+    path.write_text(
+        "OPENQASM 2.0;\n"
+        "include \"qelib1.inc\";\n"
+        "qreg q[62];\n"
+        "creg c[1];\n"
+        "h q[61];\n"
+        "measure q[61] -> c[0];\n"
+        "reset q[61];\n"
+        "measure q[0] -> c[0];\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "simulate", "--input", str(path))
+    assert code == 4
+    assert "physical memory" in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -13,7 +13,8 @@ from nucsim import (Circuit, FilterAssertionError, PauliHamiltonian,
                     assert_measure, expectation_pauli, infer_ancilla,
                     measure_project, run, sample)
 from nucsim.engine import _as_rng, success_product, swap_conjugate
-from nucsim.errors import MmaStructureError, ProjectionError
+from nucsim.errors import MmaStructureError, ProjectionError, ResourceLimitError
+from nucsim.gates import Gate, gate_matrix
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -153,6 +154,13 @@ def test_from_amplitudes_validation():
         StateVector.from_amplitudes(np.array([1.0, 1.0], dtype=complex))
     with pytest.raises(ValueError):
         StateVector(0)
+
+
+def test_width_guard_refuses_before_allocating():
+    # 2^62 amplitudes exceed any physical memory; the guard compares
+    # exponents, so nothing is allocated on the way to the error
+    with pytest.raises(ResourceLimitError):
+        StateVector(62)
 
 
 def test_restart_returns_to_vacuum():
@@ -376,6 +384,57 @@ def test_infer_ancilla():
     c.measure(0, 0)
     c.measure(1, 1)  # trailing block only: no mid-circuit measure
     assert infer_ancilla(c) is None
+    c = Circuit(3, [("c", 3)])
+    c.h(2)
+    c.measure(2, 0)
+    c.reset(2)
+    c.h(0)
+    c.measure(0, 0)  # trailing measure, barrier, measure: the sampling block
+    c.barrier()
+    c.measure(1, 1)
+    assert infer_ancilla(c) == 2
+    c = Circuit(2, [("c", 1)])
+    c.h(0)
+    c.measure(0, 0)
+    c.reset(0)  # a trailing reset is not sampling: the measure is mid-circuit
+    assert infer_ancilla(c) == 0
+
+
+def test_plan_replays_public_kernels_bit_for_bit():
+    c = Circuit(4, [("c", 1), ("r", 4)])
+    c.h(0)
+    c.rx(0.4, 1)
+    c.ry(0.7, 2)
+    c.cx(2, 0)  # reversed operands: the plan swap-conjugates
+    c.gate_op(Gate.CCX, (0, 1, 3))
+    c.ry(0.9, 3)
+    c.measure(3, 0)
+    c.barrier()
+    c.reset(3)
+    c.rz(0.2, 2)
+    c.cx(1, 3)
+    c.ry(0.5, 3)
+    c.measure(3, 0)
+    c.reset(3)
+    for q in range(4):
+        c.measure(q, c.clbit_index("r", q))
+    h = PauliHamiltonian(4, {"ZIII": 0.7, "XXII": 0.3, "IZYI": 0.2, "XIZI": 0.4})
+    report = run(c, "mma", shots=16, seed=4, ancilla=3, hamiltonian=h)
+
+    s = StateVector(4)
+    apply_1q(s, gate_matrix(Gate.H), 0)
+    apply_1q(s, gate_matrix(Gate.RX, (0.4,)), 1)
+    apply_1q(s, gate_matrix(Gate.RY, (0.7,)), 2)
+    apply_2q(s, swap_conjugate(gate_matrix(Gate.CX)), 0, 2)
+    apply_dense(s, gate_matrix(Gate.CCX), (0, 1, 3))
+    apply_1q(s, gate_matrix(Gate.RY, (0.9,)), 3)
+    probs = [assert_measure(s, 3)]
+    apply_1q(s, gate_matrix(Gate.RZ, (0.2,)), 2)
+    apply_2q(s, gate_matrix(Gate.CX), 1, 3)
+    apply_1q(s, gate_matrix(Gate.RY, (0.5,)), 3)
+    probs.append(assert_measure(s, 3))
+    assert report.assert_probs == probs
+    assert report.energy == expectation_pauli(s, h)
 
 
 def test_mma_structure_validation():

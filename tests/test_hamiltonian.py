@@ -93,14 +93,6 @@ def test_dense_cap():
         ham(15, {"I" * 15: 1.0}).dense()
 
 
-def test_apply_to_vector_is_matrix_free_dense():
-    rng = np.random.default_rng(5)
-    h = ham(3, {"XYZ": 0.3, "ZII": 0.7})
-    vec = oracles.random_state(rng, 8)
-    out = h.apply_to_vector(vec.copy())
-    assert np.max(np.abs(out - h.dense() @ vec)) <= 1e-12
-
-
 def test_apply_pauli_string_acts_on_low_qubits_of_larger_state():
     rng = np.random.default_rng(6)
     vec = oracles.random_state(rng, 8)
