@@ -4,7 +4,10 @@ Everything here is deliberately written with a different mechanism than the
 implementation: gates are lifted to full 2^n matrices by explicit bit
 scatter (no einsum, no axis moves, no Kronecker nesting), and circuits are
 executed by full matrix-vector products.  Slow but obviously correct, and
-only used at small qubit counts.
+only used at small qubit counts.  The one exception is the pair of einsum
+kernels below: the engine's former formulation, kept as the reference for
+its gather-multiply-scatter kernels at widths where dense lifting is too
+slow to fuzz.
 """
 
 from __future__ import annotations
@@ -44,6 +47,22 @@ def lift_matrix(u: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
                         dst |= 1 << q
                 full[dst, src] = u[row, col]
     return full
+
+
+def einsum_1q(amps: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
+    """A 2x2 matrix applied to qubit q of a state vector, as a new vector."""
+    a = amps.reshape(-1, 2, 1 << q)
+    return np.einsum("ab,rbt->rat", u, a).ravel()
+
+
+def einsum_2q(amps: np.ndarray, u: np.ndarray, a: int, b: int) -> np.ndarray:
+    """A 4x4 matrix indexed by bit(a) + 2*bit(b) applied to qubits a != b
+    of a state vector, as a new vector."""
+    t = u.reshape(2, 2, 2, 2)  # (b_out, a_out, b_in, a_in)
+    if a > b:
+        t, a, b = t.transpose(1, 0, 3, 2), b, a
+    v = amps.reshape(-1, 2, 1 << (b - a - 1), 2, 1 << a)
+    return np.einsum("QPqp,rqmpt->rQmPt", t, v).ravel()
 
 
 def pauli_string_dense(letters: str) -> np.ndarray:

@@ -357,18 +357,20 @@ def test_criterion_09_scale_smoke(capsys):
     probs = engine._execute_mma(state, plan)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
+    drift = abs(state.norm() - 1.0)
     samples = engine.sample(state, 64, np.random.default_rng(5))
 
     elapsed = time.perf_counter() - t0
     assert peak <= budget
     assert elapsed < 600.0
+    assert drift <= 1e-9
     assert len(probs) == n_steps == 2
     assert all(0.0 < p <= 1.0 for p in probs)
     assert sum(samples.values()) == 64
     with capsys.disabled():
         print(f"criterion 9 PASS: {n_gates} gates on 16 qubits "
               f"({stats.reduction_factor:.2f}x fused), peak {peak} B <= "
-              f"{budget} B, {elapsed:.0f}s < 600s")
+              f"{budget} B, norm drift {drift:.1e} <= 1e-9, {elapsed:.0f}s < 600s")
 
 
 def test_criterion_10_thread_count_determinism(tmp_path, capsys):

@@ -166,6 +166,32 @@ def test_simulate_deterministic_across_threads(workdir, tmp_path, capsys):
     assert a == b
 
 
+def test_simulate_identical_across_blas_thread_counts(tmp_path, capsys):
+    # 10 system qubits plus the ancilla: wide enough that every 1q/2q gate
+    # takes the gather-multiply-scatter kernels, whose multiply is a BLAS
+    # call, and the energy takes BLAS dot products
+    terms = [f"{0.3 + 0.05 * i} {'I' * i}Z{'I' * (9 - i)}" for i in range(10)]
+    terms += [f"0.25 {'I' * i}XX{'I' * (8 - i)}" for i in range(9)]
+    ham = tmp_path / "chain.txt"
+    ham.write_text("\n".join(terms) + "\n", encoding="utf-8")
+    qasm = tmp_path / "chain.qasm"
+    code, _, _ = run_cli(capsys, "prepare", "--hamiltonian", str(ham),
+                         "--steps", "2", "--trotter", "2", "--output", str(qasm))
+    assert code == 0
+    reports = []
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "nucsim.cli", "simulate", "--input", str(qasm),
+             "--shots", "256", "--seed", "9", "--hamiltonian", str(ham)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        reports.append([ln for ln in proc.stdout.splitlines()
+                        if '"wall_time_s"' not in ln])
+    assert json.loads(proc.stdout)["n_qubits"] == 11
+    assert reports[0] == reports[1]
+
+
 def test_threads_default_comes_from_env(workdir, capsys, monkeypatch):
     monkeypatch.setenv("NUCSIM_THREADS", "3")
     code, out, _ = run_cli(capsys, "simulate", "--input",

@@ -1,6 +1,8 @@
 """State-vector kernels, measurement projection, sampling, and run reports."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from nucsim import (Circuit, FilterAssertionError, PauliHamiltonian,
                     StateVector, apply_1q, apply_2q, apply_dense,
                     assert_measure, expectation_pauli, infer_ancilla,
                     measure_project, run, sample)
+from nucsim import engine
 from nucsim.engine import _as_rng, success_product, swap_conjugate
 from nucsim.errors import MmaStructureError, ProjectionError, ResourceLimitError
 from nucsim.gates import Gate, gate_matrix
@@ -110,6 +113,44 @@ def test_apply_dense_matches_oracle():
             assert np.max(np.abs(s.amps - want)) <= 1e-12
 
 
+# From 2^10 amplitudes the 1q/2q kernels gather, multiply and scatter.  The
+# einsum reference checks them on both sides of that cutoff, and the dense
+# oracle at 2^10, at every operand position through the plan's binder.
+
+def bound_apply(u, qubits, amps):
+    s = state_of(amps.copy())  # the kernel reuses the input as scratch
+    kernel, args = engine._bind(u, qubits)
+    kernel(s, *args)
+    return s.amps
+
+
+@given(n=st.sampled_from([9, 10, 11, 12]), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_kernels_match_einsum_reference_at_every_position(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = oracles.random_state(rng, 2 ** n)
+    u4 = oracles.random_unitary(rng, 4)
+    u2 = oracles.random_unitary(rng, 2)
+    for p, q in itertools.permutations(range(n), 2):
+        got = bound_apply(u4, (p, q), amps)
+        assert np.max(np.abs(got - oracles.einsum_2q(amps, u4, p, q))) <= 1e-12
+    for q in range(n):
+        got = bound_apply(u2, (q,), amps)
+        assert np.max(np.abs(got - oracles.einsum_1q(amps, u2, q))) <= 1e-12
+
+
+def test_kernels_match_dense_oracle_at_ten_qubits():
+    n = 10
+    rng = np.random.default_rng(1010)
+    amps = oracles.random_state(rng, 2 ** n)
+    u4 = oracles.random_unitary(rng, 4)
+    u2 = oracles.random_unitary(rng, 2)
+    for qubits in [*itertools.permutations(range(n), 2), *((q,) for q in range(n))]:
+        u = u4 if len(qubits) == 2 else u2
+        want = oracles.lift_matrix(u, qubits, n) @ amps
+        assert np.max(np.abs(bound_apply(u, qubits, amps) - want)) <= 1e-12
+
+
 def test_non_unitary_matrices_pass_through_kernels():
     proj = np.array([[1, 0], [0, 0]], dtype=complex)
     s = state_of(vec(1, 1))
@@ -154,6 +195,24 @@ def test_from_amplitudes_validation():
         StateVector.from_amplitudes(np.array([1.0, 1.0], dtype=complex))
     with pytest.raises(ValueError):
         StateVector(0)
+
+
+def test_from_amplitudes_and_copy_allocate_only_their_result():
+    amps = oracles.random_state(np.random.default_rng(7), 2 ** 16)
+    tracemalloc.start()
+    try:
+        s = StateVector.from_amplitudes(amps)
+        _, adopt_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        c = s.copy()
+        _, copy_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.amps is amps
+    assert adopt_peak < 64 * 1024
+    assert copy_peak < amps.nbytes + 64 * 1024
+    assert c.amps is not amps and np.array_equal(c.amps, amps)
+    assert c.n_qubits == s.n_qubits == 16
 
 
 def test_width_guard_refuses_before_allocating():
