@@ -84,6 +84,8 @@ class StateVector:
 
     @classmethod
     def from_amplitudes(cls, amps: np.ndarray) -> "StateVector":
+        """A state over the given normalized amplitudes.  A contiguous
+        complex128 array is adopted, not copied: the kernels overwrite it."""
         arr = np.ascontiguousarray(amps, dtype=np.complex128)
         n = int(arr.shape[0]).bit_length() - 1
         if arr.ndim != 1 or arr.shape[0] != 1 << n or arr.shape[0] < 2:
@@ -121,12 +123,13 @@ def _check_qubit(state: StateVector, q: int) -> None:
 # The 1q/2q kernels gather, multiply and scatter (see the module docstring)
 # from _GATHER_MIN_AMPS amplitudes up, and make one einsum call below.  On
 # 2^16 amplitudes a 2q einsum costs 1.1-14 ms depending on the operand
-# positions, the three passes 0.4-1.0 ms.  2^10 is where the 1q kernel
-# breaks even.  Median over operand positions on a 2-core host, einsum
-# against gathered: 1q 6.5 vs 8.6 us at 2^8, 13.4 vs 13.2 us at 2^10, 62 vs
-# 33 us at 2^12; 2q 16 vs 10 us at 2^8, 53 vs 14 us at 2^10, 189 vs 43 us
-# at 2^12.  Narrower states keep the einsum, and with it their results bit
-# for bit.
+# positions, the three passes 0.4-1.0 ms.  Median over operand positions on
+# a 2-core host, einsum against gathered: 1q 6.5 vs 8.6 us at 2^8, 13.4 vs
+# 13.2 us at 2^10, 62 vs 33 us at 2^12; 2q 20 vs 14 us at 2^8, 55 vs 18 us
+# at 2^10.  The 2q kernel keeps the einsum below the cutoff because it wins
+# end to end on 6 qubits: gathering every 2q gate made narrow_rejection's
+# op_s_p50 26 % slower (10 alternating pairs, change better in 1).  Narrow
+# states thereby also keep their einsum results bit for bit.
 _GATHER_MIN_AMPS = 1 << 10
 
 

@@ -167,9 +167,12 @@ def test_simulate_deterministic_across_threads(workdir, tmp_path, capsys):
 
 
 def test_simulate_identical_across_blas_thread_counts(tmp_path, capsys):
-    # 10 system qubits plus the ancilla: wide enough that every 1q/2q gate
-    # takes the gather-multiply-scatter kernels, whose multiply is a BLAS
-    # call, and the energy takes BLAS dot products
+    # 10 system qubits plus the ancilla, so 1q gates too take the gathered
+    # kernels.  Their multiply is a BLAS gemm with an inner dimension of 2
+    # or 4: one thread computes each output amplitude whole, so a thread
+    # split cannot reorder a sum.  At this width OpenBLAS likely keeps the
+    # gemm and the energy's dot products on one thread anyway, so the test
+    # guards the formulation rather than a threaded run.
     terms = [f"{0.3 + 0.05 * i} {'I' * i}Z{'I' * (9 - i)}" for i in range(10)]
     terms += [f"0.25 {'I' * i}XX{'I' * (8 - i)}" for i in range(9)]
     ham = tmp_path / "chain.txt"

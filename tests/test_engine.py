@@ -113,9 +113,10 @@ def test_apply_dense_matches_oracle():
             assert np.max(np.abs(s.amps - want)) <= 1e-12
 
 
-# From 2^10 amplitudes the 1q/2q kernels gather, multiply and scatter.  The
-# einsum reference checks them on both sides of that cutoff, and the dense
-# oracle at 2^10, at every operand position through the plan's binder.
+# From 2^10 amplitudes the 1q/2q kernels gather, multiply and scatter; below
+# that they are the einsum reference itself, which the n <= 5 dense-oracle
+# tests above check.  The einsum reference and the dense oracle check the
+# gathered kernels at every operand position through the plan's binder.
 
 def bound_apply(u, qubits, amps):
     s = state_of(amps.copy())  # the kernel reuses the input as scratch
@@ -124,7 +125,7 @@ def bound_apply(u, qubits, amps):
     return s.amps
 
 
-@given(n=st.sampled_from([9, 10, 11, 12]), seed=st.integers(0, 2 ** 32 - 1))
+@given(n=st.sampled_from([10, 11, 12]), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=12, deadline=None)
 def test_kernels_match_einsum_reference_at_every_position(n, seed):
     rng = np.random.default_rng(seed)
