@@ -29,7 +29,7 @@ from .errors import (DegenerateSpectrumError, FilterAssertionError,
                      MmaStructureError, ProjectionError, QasmError,
                      ResourceLimitError, SpectrumGuardError)
 from .fusion import fuse_pipeline, gate_count
-from .hamiltonian import ground_state, load_hamiltonian_text, shift_rescale
+from .hamiltonian import GroundState, ground_state, load_hamiltonian_text, shift_rescale
 from .lcu import lcu_coefficients, lcu_reference, lcu_success_probability
 from .projection import FilterSchedule, TrialState, build_filter_circuit, default_schedule
 from .qasm import emit_qasm, parse_qasm
@@ -129,21 +129,27 @@ def cmd_fuse(config: RunConfig) -> int:
     return 0
 
 
-def _load_schedule(config: RunConfig, h) -> FilterSchedule:
+def _load_schedule(config: RunConfig, h) -> tuple[FilterSchedule, GroundState | None]:
+    """The filter schedule, and the ground state if the gap needed it."""
     if config.schedule is not None:
-        return FilterSchedule.from_json(_read_text(config.schedule))
+        return FilterSchedule.from_json(_read_text(config.schedule)), None
     if config.steps is None:
         raise ValueError("provide --schedule or --steps (with optional --gap)")
-    gap = config.gap if config.gap is not None else ground_state(h).gap
-    return default_schedule(gap, config.steps)
+    if config.gap is not None:
+        return default_schedule(config.gap, config.steps), None
+    gs = ground_state(h)
+    return default_schedule(gs.gap, config.steps), gs
 
 
 def cmd_prepare(config: RunConfig) -> int:
     if config.hamiltonian is None:
         raise ValueError("prepare needs --hamiltonian")
     h = load_hamiltonian_text(_read_text(config.hamiltonian))
-    schedule = _load_schedule(config, h)
-    e0 = config.e0 if config.e0 is not None else ground_state(h).energy
+    schedule, gs = _load_schedule(config, h)
+    if config.e0 is not None:
+        e0 = config.e0
+    else:
+        e0 = (gs if gs is not None else ground_state(h)).energy
     shifted = shift_rescale(h, e0)
     ancilla = config.ancilla if config.ancilla is not None else h.n_qubits
     trial = TrialState.basis("0" * h.n_qubits)

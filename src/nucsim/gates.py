@@ -115,7 +115,6 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT1_2
 _SQRT_X = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
-_SWAP_PERM = (0, 2, 1, 3)  # exchanges the two slot roles of a 4x4 matrix
 
 
 def _u3(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -179,9 +178,29 @@ def _compose(n_slots: int, ops: list[tuple[np.ndarray, tuple[int, ...]]]) -> np.
     return acc
 
 
+@lru_cache(maxsize=None)
+def _slot_take(order: tuple[int, ...]) -> np.ndarray:
+    # flat indices into a matrix over the old slots, for each entry of the
+    # matrix over the new ones, whose slot j is old slot order[j]
+    old = np.array([sum(((r >> j) & 1) << s for j, s in enumerate(order))
+                    for r in range(1 << len(order))])
+    take = (old[:, None] * len(old) + old[None, :]).ravel()
+    take.setflags(write=False)
+    return take
+
+
+def sort_operands(u: np.ndarray, qubits: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The same gate with its qubits in ascending order: the matrix is
+    reindexed so that its slot j acts on the j-th smallest qubit."""
+    if all(a < b for a, b in zip(qubits, qubits[1:])):
+        return u, tuple(qubits)
+    order = tuple(sorted(range(len(qubits)), key=qubits.__getitem__))
+    return np.take(u, _slot_take(order)).reshape(u.shape), tuple(qubits[j] for j in order)
+
+
 def swap_conjugate(u: np.ndarray) -> np.ndarray:
     """Reindex a 4x4 matrix as if its two qubit slots were exchanged."""
-    return np.ascontiguousarray(u[np.ix_(_SWAP_PERM, _SWAP_PERM)])
+    return sort_operands(u, (1, 0))[0]
 
 
 def _swap_matrix() -> np.ndarray:

@@ -4,10 +4,10 @@ Everything here is deliberately written with a different mechanism than the
 implementation: gates are lifted to full 2^n matrices by explicit bit
 scatter (no einsum, no axis moves, no Kronecker nesting), and circuits are
 executed by full matrix-vector products.  Slow but obviously correct, and
-only used at small qubit counts.  The one exception is the pair of einsum
-kernels below: the engine's former formulation, kept as the reference for
-its gather-multiply-scatter kernels at widths where dense lifting is too
-slow to fuzz.
+only used at small qubit counts.  The exceptions are the three kernels
+below, einsum_1q, einsum_2q and moveaxis_kq: the engine's former
+formulations, kept as the reference for its gather-multiply-scatter kernels
+and block plans at widths where dense lifting is too slow to fuzz.
 """
 
 from __future__ import annotations
@@ -63,6 +63,20 @@ def einsum_2q(amps: np.ndarray, u: np.ndarray, a: int, b: int) -> np.ndarray:
         t, a, b = t.transpose(1, 0, 3, 2), b, a
     v = amps.reshape(-1, 2, 1 << (b - a - 1), 2, 1 << a)
     return np.einsum("QPqp,rqmpt->rQmPt", t, v).ravel()
+
+
+def moveaxis_kq(amps: np.ndarray, u: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """A 2^k x 2^k matrix whose slot j is qubits[j] applied to a state
+    vector, as a new vector."""
+    n = amps.shape[0].bit_length() - 1
+    k = len(qubits)
+    psi = amps.reshape((2,) * n)
+    # tensor axis i holds qubit n-1-i; put slots high-to-low in front so the
+    # flattened row index reads sum(slot_j * 2^j)
+    src = [n - 1 - qubits[j] for j in range(k - 1, -1, -1)]
+    moved = np.moveaxis(psi, src, range(k))
+    res = u @ moved.reshape(1 << k, -1)
+    return np.moveaxis(res.reshape(moved.shape), range(k), src).ravel()
 
 
 def pauli_string_dense(letters: str) -> np.ndarray:

@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from nucsim import cli as cli_module
 from nucsim import gate_count, parse_qasm
 from nucsim.cli import main
 from nucsim.gates import Gate
@@ -349,6 +350,27 @@ def test_prepare_without_schedule_or_steps_exits_2(workdir, capsys):
                            str(workdir / "pair.txt"))
     assert code == 2
     assert "--schedule" in err
+
+
+@pytest.mark.parametrize("extra, calls", [
+    ((), 1),                             # gap and e0 both from one eigensolve
+    (("--gap", "0.5"), 1),               # e0 only
+    (("--e0", "-1.03"), 1),              # gap only
+    (("--gap", "0.5", "--e0", "-1.03"), 0),
+])
+def test_prepare_computes_the_ground_state_at_most_once(workdir, tmp_path, capsys,
+                                                        monkeypatch, extra, calls):
+    seen, solve = [], cli_module.ground_state
+
+    def counting(h):
+        seen.append(h)
+        return solve(h)
+
+    monkeypatch.setattr(cli_module, "ground_state", counting)
+    code, _, _ = run_cli(capsys, "prepare", "--hamiltonian", str(workdir / "pair.txt"),
+                         "--steps", "2", *extra, "--output", str(tmp_path / "p.qasm"))
+    assert code == 0
+    assert len(seen) == calls
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """State-vector kernels, measurement projection, sampling, and run reports."""
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -107,7 +111,7 @@ def test_apply_dense_matches_oracle():
             qubits = tuple(int(x) for x in rng.choice(n, size=width, replace=False))
             u = oracles.random_unitary(rng, 2 ** width)
             amps = oracles.random_state(rng, 2 ** n)
-            s = state_of(amps)
+            s = state_of(amps.copy())  # the kernel reuses the input as scratch
             apply_dense(s, u, qubits)
             want = oracles.lift_matrix(u, qubits, n) @ amps
             assert np.max(np.abs(s.amps - want)) <= 1e-12
@@ -150,6 +154,167 @@ def test_kernels_match_dense_oracle_at_ten_qubits():
         u = u4 if len(qubits) == 2 else u2
         want = oracles.lift_matrix(u, qubits, n) @ amps
         assert np.max(np.abs(bound_apply(u, qubits, amps) - want)) <= 1e-12
+
+
+def test_apply_dense_allocates_nothing_on_a_warm_state():
+    rng = np.random.default_rng(16)
+    s = state_of(oracles.random_state(rng, 2 ** 16))
+    u = oracles.random_unitary(rng, 8)
+    apply_dense(s, u, (3, 15, 0))  # the first gate allocates the scratch buffer
+    tracemalloc.start()
+    try:
+        apply_dense(s, u, (3, 15, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # one vector is 1 MiB
+
+
+# The plan packs consecutive gates into blocks of up to engine._BLOCK_QUBITS
+# qubits.  Replay the same circuit one gate at a time through the former
+# einsum and moveaxis kernels; tolerance 1e-12 on amplitudes and
+# probabilities, exact equality for rejection-mode counts.
+
+_WIDE_GATES = (Gate.CCX, Gate.CSWAP, Gate.RCCX, Gate.C3X, Gate.RC3X, Gate.C4X)
+
+
+def replay_gate(amps, ins):
+    u, qubits = ins.resolved_matrix(), ins.qubits
+    if len(qubits) == 1:
+        return oracles.einsum_1q(amps, u, qubits[0])
+    if len(qubits) == 2:
+        return oracles.einsum_2q(amps, u, *qubits)
+    return oracles.moveaxis_kq(amps, u, qubits)
+
+
+def replay_probability(amps, q, outcome):
+    return float(np.sum(np.abs(amps[((np.arange(amps.shape[0]) >> q) & 1) == outcome]) ** 2))
+
+
+def replay_project(amps, q, outcome):
+    keep = ((np.arange(amps.shape[0]) >> q) & 1) == outcome
+    return np.where(keep, amps, 0) / np.sqrt(replay_probability(amps, q, outcome))
+
+
+def random_block_circuit(rng, n, n_gates, ancilla):
+    """Random 1q/2q matrices on random (often reversed) operands and named
+    gates on 3-5 qubits, with measure/reset pairs on the ancilla between."""
+    circ = Circuit(n, [("c", n_gates)])
+    for i in range(n_gates):
+        kind = rng.random()
+        if kind < 0.1:
+            circ.measure(ancilla, i)
+            if rng.random() < 0.5:
+                circ.barrier()
+            circ.reset(ancilla)
+        elif kind < 0.4:
+            circ.fused_1q(oracles.random_unitary(rng, 2), int(rng.integers(n)))
+        elif kind < 0.85 or n == 2:
+            a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+            circ.fused_2q(oracles.random_unitary(rng, 4), a, b)
+        else:
+            gate = _WIDE_GATES[int(rng.integers(len(_WIDE_GATES)))]
+            if gate.n_qubits > n:
+                gate = Gate.CCX
+            circ.gate_op(gate, tuple(int(q) for q in rng.choice(n, size=gate.n_qubits,
+                                                               replace=False)))
+    circ.measure(ancilla, 0)
+    return circ
+
+
+@given(n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_block_plan_matches_per_gate_replay(n, seed):
+    rng = np.random.default_rng(seed)
+    ancilla = int(rng.integers(n))
+    circ = random_block_circuit(rng, n, int(rng.integers(1, 40)), ancilla)
+    plan, n_steps = engine._compile(circ, "mma", ancilla)
+    state = StateVector(n)
+    probs = engine._execute_mma(state, plan)
+
+    amps = np.zeros(2 ** n, dtype=complex)
+    amps[0] = 1.0
+    want = []
+    for ins in circ.instructions[:-1]:  # the last is the sampling measure
+        if ins.gate is Gate.MEASURE:
+            want.append(replay_probability(amps, ins.qubits[0], 0))
+            amps = replay_project(amps, ins.qubits[0], 0)
+        elif ins.is_gate:
+            amps = replay_gate(amps, ins)
+    assert len(probs) == n_steps == len(want)
+    assert max((abs(a - b) for a, b in zip(probs, want)), default=0.0) <= 1e-12
+    assert np.max(np.abs(state.amps - amps)) <= 1e-12
+    gates = sum(1 for ins in circ.instructions if ins.is_gate)
+    assert len(plan) - 2 * n_steps <= gates
+
+
+def test_block_plan_packs_consecutive_gates():
+    c = Circuit(6, [("c", 1)])
+    for q in range(5):
+        c.cx(q, q + 1)  # cx(3, 4) would widen the block to five qubits
+    c.h(4)
+    c.measure(5, 0)
+    c.reset(5)
+    c.h(5)  # after a reset: a block of its own
+    plan, _ = engine._compile(c, "mma", 5)
+    kernels = [op for op, _ in plan]
+    assert kernels == [engine._kernel_block, engine._kernel_block, engine._OP_MEASURE,
+                       engine._OP_RESET, engine._kernel_1q]
+    assert plan[0][1][0].shape == (16, 16)  # cx on (0,1), (1,2), (2,3)
+    assert plan[1][1][0].shape == (8, 8)    # cx on (3,4), (4,5), then h(4)
+
+
+def replay_rejection(circ, shots, seed):
+    """run(mode="rejection") one gate at a time, drawing from the same
+    generator in the same order: accepted count and samples."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    instrs = circ.instructions
+    end = len(instrs)
+    while end > 0 and instrs[end - 1].gate in (Gate.MEASURE, Gate.BARRIER):
+        end -= 1
+    accepted, counts = 0, {}
+    for _ in range(shots):
+        amps = np.zeros(2 ** circ.n_qubits, dtype=complex)
+        amps[0] = 1.0
+        ok = True
+        for ins in instrs[:end]:
+            if ins.gate is Gate.MEASURE:
+                if rng.random() >= replay_probability(amps, ins.qubits[0], 0):
+                    ok = False
+                    break
+                amps = replay_project(amps, ins.qubits[0], 0)
+            elif ins.gate is Gate.RESET:
+                q = ins.qubits[0]
+                if rng.random() < replay_probability(amps, q, 0):
+                    amps = replay_project(amps, q, 0)
+                else:
+                    amps = oracles.einsum_1q(replay_project(amps, q, 1), X, q)
+            elif ins.is_gate:
+                amps = replay_gate(amps, ins)
+        if ok:
+            accepted += 1
+            for key, cnt in sample(StateVector.from_amplitudes(amps), 1, rng).items():
+                counts[key] = counts.get(key, 0) + cnt
+    return accepted, counts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rejection_blocks_match_per_gate_replay(seed):
+    rng = np.random.default_rng(600 + seed)
+    circ = Circuit(6, [("c", 6)])
+    for i in range(3):
+        oracles.random_gates(rng, circ, 12)
+        circ.gate_op(Gate.CCX, tuple(int(q) for q in rng.choice(6, size=3, replace=False)))
+        circ.measure(5, i)
+        circ.reset(5)
+    circ.reset(int(rng.integers(5)))  # a reset whose draw can go either way
+    for q in range(6):
+        circ.measure(q, q)
+    report = run(circ, "rejection", shots=64, seed=70 + seed, ancilla=None)
+    accepted, counts = replay_rejection(circ, 64, 70 + seed)
+    assert 0 < report.accepted < 64
+    assert report.accepted == accepted
+    assert report.samples == counts
 
 
 def test_non_unitary_matrices_pass_through_kernels():
@@ -587,6 +752,29 @@ def test_rejection_is_deterministic():
     assert a == b
 
 
+class _DrawsTop:
+    """Stands in for a run's generator: every uniform draw is the largest
+    double below 1, so each reset finds its qubit in |1>."""
+
+    def random(self, size=None):
+        top = np.nextafter(1.0, 0.0)
+        return top if size is None else np.full(size, top)
+
+
+def test_rejection_reset_renormalizes_a_tiny_branch(monkeypatch):
+    # P(1) = 1e-14: 1 - P(0) keeps only about three correct digits of it
+    c = Circuit(1, [("c", 1)])
+    c.ry(2 * math.asin(1e-7), 0)
+    c.reset(0)
+    c.measure(0, 0)
+    monkeypatch.setattr(engine, "_as_rng", lambda seed: _DrawsTop())
+    report = run(c, "rejection", shots=1, seed=0, ancilla=None,
+                 hamiltonian=PauliHamiltonian(1, {"Z": 1.0}))
+    assert report.accepted == 1 and report.samples == {"0": 1}
+    # <Z> on the flipped-back |0> is its squared norm
+    assert abs(report.energy - 1.0) <= 1e-9
+
+
 def test_run_rejects_bad_arguments():
     circ = two_step_circuit()
     with pytest.raises(ValueError):
@@ -612,3 +800,35 @@ def test_random_filter_circuits_agree_with_oracle(seed):
     dense = oracles.pauli_string_dense("ZIII")
     want = float(np.real(np.vdot(state, dense @ state)))
     assert final.energy == pytest.approx(want, abs=1e-10)
+
+
+_LIBRARY_RUN = """
+import json
+from nucsim import (PauliHamiltonian, TrialState, build_filter_circuit, default_schedule,
+                    fuse_pipeline, run)
+n = 14
+terms = {"I" * i + "X" + "I" * (n - 1 - i): 0.12 + 0.01 * i for i in range(n)}
+terms.update({"I" * i + "ZZ" + "I" * (n - 2 - i): 0.08 for i in range(n - 1)})
+h = PauliHamiltonian(n, terms)
+circuit = build_filter_circuit(h, default_schedule(0.5, 2), 2, TrialState.basis("0" * n), n)
+fused, _ = fuse_pipeline(circuit)
+padded = PauliHamiltonian(n + 1, {s + "I": c for s, c in terms.items()})
+report = run(fused, "mma", 64, 9, n, hamiltonian=padded)
+print(json.dumps({"n_qubits": report.n_qubits, "energy": report.energy.hex(),
+                  "assert_probs": [p.hex() for p in report.assert_probs]}))
+"""
+
+
+def test_library_run_identical_across_blas_thread_counts():
+    # 2^15 amplitudes: from about 2^14 a BLAS dot product splits across
+    # threads, so probabilities and energies reduced by one would differ
+    # in the last bits between these two runs
+    outs = []
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
+        proc = subprocess.run([sys.executable, "-c", _LIBRARY_RUN],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(json.loads(proc.stdout))
+    assert outs[0]["n_qubits"] == 15
+    assert outs[0] == outs[1]
