@@ -7,13 +7,13 @@ memory stays at two vectors regardless of circuit depth.
 
 The execution plan packs each run of consecutive gates into blocks on at
 most ``_BLOCK_QUBITS`` qubits, greedily and in circuit order, and builds
-each block's product matrix at compile time.  A block on three or more
-qubits makes three passes over the state and allocates nothing: a strided
+each block's product matrix at compile time.  One kernel runs every gate
+and block in three passes over the state, allocating nothing: a strided
 copy gathers the amplitudes into scratch as one contiguous row per value of
 the operand bits, one small matmul multiplies the rows into the live array,
 and a strided copy scatters the result back into scratch in state order.
-Blocks on one or two qubits, and the public 1- and 2-qubit kernels, do the
-same from 2^10 amplitudes up; below that one einsum call is cheaper.
+Gates and blocks on one or two qubits instead make one einsum call below
+2^10 amplitudes, where that is cheaper.
 
 Two execution modes:
 
@@ -125,7 +125,7 @@ def _check_qubit(state: StateVector, q: int) -> None:
 # _kernel_block.  The execution plan calls them directly; the public apply_*
 # functions validate and then call them.
 #
-# The 1q/2q kernels gather, multiply and scatter (see the module docstring)
+# The 1q/2q kernels hand over to _kernel_block (see the module docstring)
 # from _GATHER_MIN_AMPS amplitudes up, and make one einsum call below.  On
 # 2^16 amplitudes a 2q einsum costs 1.1-14 ms depending on the operand
 # positions, the three passes 0.4-1.0 ms.  Median over operand positions on
@@ -140,39 +140,33 @@ _GATHER_MIN_AMPS = 1 << 10
 # _compile packs consecutive gates into blocks on at most this many qubits.
 # On 2^16 amplitudes one gathered block costs about 0.48 ms on 2 qubits,
 # 0.56 ms on 4, 0.70 ms on 5 and 0.96 ms on 6, while building its matrix
-# costs some 20 us per gate.  The chain16_mma circuit (1,140 fused 2q gates,
-# 2-core host) ran as 280 blocks in 146 ms at 3 qubits, 140 blocks in 78 ms
-# plus 27 ms of compile at 4, 100 in 70 + 37 ms at 5 and 74 in 71 + 56 ms
-# at 6: 5 is no faster in total than 4, and 4 keeps the plan's matrices at
-# 4 KiB each.
+# costs some 20 us per gate.  In one sizing run on a 2-core host, the
+# chain16_mma circuit (1,140 fused 2q gates) ran as 280 blocks in 146 ms
+# at 3 qubits, 140 blocks in 78 ms plus 27 ms of compile at 4, 100 in
+# 70 + 37 ms at 5 and 74 in 71 + 56 ms at 6: 5 is no faster in total than
+# 4, and 4 keeps the plan's matrices at 4 KiB each.  (The median-of-7 split
+# in BENCH_4_blocks.json, a separate run, gives 66 + 23 ms at 4.)
 _BLOCK_QUBITS = 4
 
 
 def _kernel_1q(state: StateVector, u: np.ndarray, q: int) -> None:
+    if state.amps.shape[0] >= _GATHER_MIN_AMPS:
+        _kernel_block(state, u, *_block_layout((q,)))
+        return
     a, s = state.amps, state.scratch()
     shape = (-1, 2, 1 << q)
-    if a.shape[0] < _GATHER_MIN_AMPS:
-        np.einsum("ab,rbt->rat", u, a.reshape(shape), out=s.reshape(shape))
-    else:
-        rows = (2, a.shape[0] >> (q + 1), 1 << q)
-        np.copyto(s.reshape(rows), a.reshape(shape).transpose(1, 0, 2))
-        np.matmul(u, s.reshape(2, -1), out=a.reshape(2, -1))
-        np.copyto(s.reshape(shape).transpose(1, 0, 2), a.reshape(rows))
+    np.einsum("ab,rbt->rat", u, a.reshape(shape), out=s.reshape(shape))
     state.amps, state._scratch = s, a
 
 
 def _kernel_2q(state: StateVector, u4: np.ndarray, p: int, q: int) -> None:
     # u4 is the 4x4 matrix reshaped to (2, 2, 2, 2); operands ordered p < q
+    if state.amps.shape[0] >= _GATHER_MIN_AMPS:
+        _kernel_block(state, u4.reshape(4, 4), *_block_layout((p, q)))
+        return
     a, s = state.amps, state.scratch()
     shape = (-1, 2, 1 << (q - p - 1), 2, 1 << p)
-    if a.shape[0] < _GATHER_MIN_AMPS:
-        np.einsum("QPqp,rqmpt->rQmPt", u4, a.reshape(shape), out=s.reshape(shape))
-    else:
-        # row 2*bit(q) + bit(p) of the gathered block is the matrix index
-        rows = (2, 2, a.shape[0] >> (q + 1), 1 << (q - p - 1), 1 << p)
-        np.copyto(s.reshape(rows), a.reshape(shape).transpose(1, 3, 0, 2, 4))
-        np.matmul(u4.reshape(4, 4), s.reshape(4, -1), out=a.reshape(4, -1))
-        np.copyto(s.reshape(shape).transpose(1, 3, 0, 2, 4), a.reshape(rows))
+    np.einsum("QPqp,rqmpt->rQmPt", u4, a.reshape(shape), out=s.reshape(shape))
     state.amps, state._scratch = s, a
 
 
@@ -298,9 +292,7 @@ def apply_dense(state: StateVector, u: np.ndarray, qubits: tuple[int, ...]) -> S
 
 def _branch_probability(amps: np.ndarray, q: int, outcome: int) -> float:
     view = amps.view(np.float64).reshape(-1, 2, 2 << q)[:, outcome, :]
-    # below q = 3 the contiguous runs are under 8 floats long; iterating the
-    # other axis innermost is then 2-4x faster on 2^16 amplitudes
-    return float(np.einsum("ij,ij->", view, view, order="F" if q < 3 else "K"))
+    return float(np.einsum("ij,ij->", view, view))
 
 
 def _project(amps: np.ndarray, q: int, outcome: int, prob: float) -> None:
