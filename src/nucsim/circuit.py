@@ -8,7 +8,7 @@ declaration order.  Qubit 0 is the least significant bit of a basis index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -12,8 +12,6 @@ and block in three passes over the state, allocating nothing: a strided
 copy gathers the amplitudes into scratch as one contiguous row per value of
 the operand bits, one small matmul multiplies the rows into the live array,
 and a strided copy scatters the result back into scratch in state order.
-Gates and blocks on one or two qubits instead make one einsum call below
-2^10 amplitudes, where that is cheaper.
 
 Two execution modes:
 
@@ -36,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -121,22 +119,6 @@ def _check_qubit(state: StateVector, q: int) -> None:
         raise ValueError(f"qubit {q} out of range for {state.n_qubits} qubits")
 
 
-# Unchecked kernels: _kernel_1q, _kernel_2q and, for three or more qubits,
-# _kernel_block.  The execution plan calls them directly; the public apply_*
-# functions validate and then call them.
-#
-# The 1q/2q kernels hand over to _kernel_block (see the module docstring)
-# from _GATHER_MIN_AMPS amplitudes up, and make one einsum call below.  On
-# 2^16 amplitudes a 2q einsum costs 1.1-14 ms depending on the operand
-# positions, the three passes 0.4-1.0 ms.  Median over operand positions on
-# a 2-core host, einsum against gathered: 1q 6.5 vs 8.6 us at 2^8, 13.4 vs
-# 13.2 us at 2^10, 62 vs 33 us at 2^12; 2q 20 vs 14 us at 2^8, 55 vs 18 us
-# at 2^10.  The 2q kernel keeps the einsum below the cutoff because it wins
-# end to end on 6 qubits: gathering every 2q gate made narrow_rejection's
-# op_s_p50 26 % slower (10 alternating pairs, change better in 1).  Narrow
-# states thereby also keep their einsum results bit for bit.
-_GATHER_MIN_AMPS = 1 << 10
-
 # _compile packs consecutive gates into blocks on at most this many qubits.
 # On 2^16 amplitudes one gathered block costs about 0.48 ms on 2 qubits,
 # 0.56 ms on 4, 0.70 ms on 5 and 0.96 ms on 6, while building its matrix
@@ -149,27 +131,9 @@ _GATHER_MIN_AMPS = 1 << 10
 _BLOCK_QUBITS = 4
 
 
-def _kernel_1q(state: StateVector, u: np.ndarray, q: int) -> None:
-    if state.amps.shape[0] >= _GATHER_MIN_AMPS:
-        _kernel_block(state, u, *_block_layout((q,)))
-        return
-    a, s = state.amps, state.scratch()
-    shape = (-1, 2, 1 << q)
-    np.einsum("ab,rbt->rat", u, a.reshape(shape), out=s.reshape(shape))
-    state.amps, state._scratch = s, a
-
-
-def _kernel_2q(state: StateVector, u4: np.ndarray, p: int, q: int) -> None:
-    # u4 is the 4x4 matrix reshaped to (2, 2, 2, 2); operands ordered p < q
-    if state.amps.shape[0] >= _GATHER_MIN_AMPS:
-        _kernel_block(state, u4.reshape(4, 4), *_block_layout((p, q)))
-        return
-    a, s = state.amps, state.scratch()
-    shape = (-1, 2, 1 << (q - p - 1), 2, 1 << p)
-    np.einsum("QPqp,rqmpt->rQmPt", u4, a.reshape(shape), out=s.reshape(shape))
-    state.amps, state._scratch = s, a
-
-
+# One unchecked kernel, _kernel_block, runs every gate and block at every
+# width (see the module docstring).  The execution plan calls it directly;
+# the public apply_* functions validate and then call it.
 def _kernel_block(state: StateVector, u: np.ndarray, shape: tuple[int, ...],
                   perm: tuple[int, ...]) -> None:
     # shape and perm come from _block_layout; u is indexed over the sorted
@@ -213,13 +177,8 @@ def _block_layout(qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
 def _bind(u: np.ndarray, qubits: tuple[int, ...]):
     """The kernel for a gate matrix on the given qubits, with its arguments.
     Unsorted operands are sorted and the matrix reindexed to match (SWAP
-    conjugation for a reversed pair); three or more qubits take the block
-    kernel."""
+    conjugation for a reversed pair)."""
     u, qubits = sort_operands(u, qubits)
-    if len(qubits) == 1:
-        return _kernel_1q, (u, qubits[0])
-    if len(qubits) == 2:
-        return _kernel_2q, (u.reshape(2, 2, 2, 2), *qubits)
     return _kernel_block, (u, *_block_layout(qubits))
 
 
@@ -249,7 +208,7 @@ def apply_1q(state: StateVector, u: np.ndarray, q: int) -> StateVector:
     _check_qubit(state, q)
     if u.shape != (2, 2):
         raise ValueError("matrix must be 2x2")
-    _kernel_1q(state, u, q)
+    _kernel_block(state, u, *_block_layout((q,)))
     return state
 
 
@@ -265,7 +224,7 @@ def apply_2q(state: StateVector, u: np.ndarray, p: int, q: int) -> StateVector:
         raise ValueError("qubits must be ordered p < q")
     if u.shape != (4, 4):
         raise ValueError("matrix must be 4x4")
-    _kernel_2q(state, u.reshape(2, 2, 2, 2), p, q)
+    _kernel_block(state, u, *_block_layout((p, q)))
     return state
 
 
@@ -593,7 +552,7 @@ def run(circuit: Circuit, mode: str, shots: int, seed: int, ancilla: int | None,
                     else:
                         # measured, not 1 - p0, which cancels when P(1) is tiny
                         _project(state.amps, q, 1, _branch_probability(state.amps, q, 1))
-                        _kernel_1q(state, _X, q)
+                        _kernel_block(state, _X, *_block_layout((q,)))
                 else:
                     op(state, *args)
             if ok:

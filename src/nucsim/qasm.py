@@ -23,7 +23,7 @@ import re
 
 import numpy as np
 
-from .circuit import Circuit, Instruction
+from .circuit import Circuit
 from .errors import QasmError
 from .gates import QASM_NAMES, Gate
 
