@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Gate, gate_matrix
+from .gates import Gate, _shared_matrix
 
 _ATOL_UNITARY = 1e-10  # payload matrices must be unitary to this tolerance
 
@@ -41,10 +41,12 @@ class Instruction:
         return self.gate.is_unitary
 
     def resolved_matrix(self) -> np.ndarray:
-        """Dense matrix over this instruction's qubit slots."""
+        """Dense matrix over this instruction's qubit slots.  For a named gate
+        it is the one cached array per (gate, params), shared and read-only;
+        ``gates.gate_matrix`` gives a writable copy."""
         if self.matrix is not None:
             return self.matrix
-        return gate_matrix(self.gate, self.params)
+        return _shared_matrix(self.gate, self.params)
 
 
 class Circuit:

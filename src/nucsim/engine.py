@@ -7,7 +7,10 @@ memory stays at two vectors regardless of circuit depth.
 
 The execution plan packs each run of consecutive gates into blocks on at
 most ``_BLOCK_QUBITS`` qubits, greedily and in circuit order, and builds
-each block's product matrix at compile time.  One kernel runs every gate
+each block's product matrix at compile time, once per distinct block: the
+Trotter slices of a filter step repeat the same blocks, so one compile
+keeps a memo from each block's gates (matrix bytes and qubits) to its bound
+kernel, which lives for that compile only.  One kernel runs every gate
 and block in three passes over the state, allocating nothing: a strided
 copy gathers the amplitudes into scratch as one contiguous row per value of
 the operand bits, one small matmul multiplies the rows into the live array,
@@ -441,6 +444,18 @@ def _compile(circuit: Circuit, mode: str, ancilla: int | None):
                     raise MmaStructureError(
                         f"reset at instruction {pos} is not paired with an assertion")
 
+    # Trotter slices repeat their blocks, so each distinct block, keyed by its
+    # gates' matrix bytes and qubits, is fused once per call and its bound
+    # kernel shared by every plan entry that repeats it
+    kernels: dict[tuple, tuple] = {}
+
+    def fuse(block: list[tuple[np.ndarray, tuple[int, ...]]]):
+        key = tuple((u.tobytes(), u.dtype, qs) for u, qs in block)
+        bound = kernels.get(key)
+        if bound is None:
+            bound = kernels[key] = _fuse_block(block)
+        return bound
+
     plan = []
     step = 0
     block: list[tuple[np.ndarray, tuple[int, ...]]] = []  # the open block's gates
@@ -453,13 +468,13 @@ def _compile(circuit: Circuit, mode: str, ancilla: int | None):
         if ins.is_gate:
             joined = block_qubits.union(ins.qubits)
             if block and len(joined) > _BLOCK_QUBITS:
-                plan.append(_fuse_block(block))
+                plan.append(fuse(block))
                 block, joined = [], set(ins.qubits)
             block.append((ins.resolved_matrix(), ins.qubits))
             block_qubits = joined
             continue
         if block:
-            plan.append(_fuse_block(block))
+            plan.append(fuse(block))
             block, block_qubits = [], set()
         if g is Gate.MEASURE:
             plan.append((_OP_MEASURE, (ins.qubits[0], step)))
@@ -467,7 +482,7 @@ def _compile(circuit: Circuit, mode: str, ancilla: int | None):
         else:
             plan.append((_OP_RESET, ins.qubits))
     if block:
-        plan.append(_fuse_block(block))
+        plan.append(fuse(block))
     return plan, step
 
 

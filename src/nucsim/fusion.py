@@ -28,8 +28,6 @@ import numpy as np
 from .circuit import Circuit, Instruction
 from .gates import Gate, swap_conjugate
 
-_ID2 = np.eye(2, dtype=complex)
-
 
 @dataclass(frozen=True, slots=True)
 class PassStats:
@@ -87,8 +85,14 @@ def _c2(qubits: tuple[int, int], matrix: np.ndarray) -> Instruction:
 
 
 def _lift(v: np.ndarray, slot: int) -> np.ndarray:
-    """2x2 matrix acting on one slot of a (slot0 low, slot1 high) pair."""
-    return np.kron(_ID2, v) if slot == 0 else np.kron(v, _ID2)
+    """2x2 matrix acting on one slot of a (slot0 low, slot1 high) pair:
+    kron(I, v) for slot 0, kron(v, I) for slot 1, written by slicing."""
+    out = np.zeros((4, 4), dtype=complex)
+    if slot == 0:
+        out[:2, :2] = out[2:, 2:] = v
+    else:
+        out[::2, ::2] = out[1::2, 1::2] = v
+    return out
 
 
 def merge_1q(circuit: Circuit) -> Circuit:
@@ -233,11 +237,13 @@ def fuse_pipeline(circuit: Circuit) -> tuple[Circuit, FusionStats]:
     """Run all four passes in order and report per-pass gate counts."""
     passes = (("merge_1q", merge_1q), ("absorb_1q", absorb_1q),
               ("normalize_2q_order", normalize_2q_order), ("fuse_2q", fuse_2q))
-    before = gate_count(circuit)
+    before = count = gate_count(circuit)
     stats = []
     current = circuit
     for name, fn in passes:
-        b = gate_count(current)
+        # each circuit is counted once: a pass starts from its predecessor's count
         current = fn(current)
-        stats.append(PassStats(name, b, gate_count(current)))
-    return current, FusionStats(before, gate_count(current), tuple(stats))
+        after = gate_count(current)
+        stats.append(PassStats(name, count, after))
+        count = after
+    return current, FusionStats(before, count, tuple(stats))

@@ -306,12 +306,19 @@ def _matrix_cached(gate: Gate, params: tuple[float, ...]) -> np.ndarray:
     return m
 
 
-def gate_matrix(gate: Gate, params: tuple[float, ...] = ()) -> np.ndarray:
-    """Dense matrix of a named gate; raises for measure/reset/barrier/C1/C2."""
+def _shared_matrix(gate: Gate, params: tuple[float, ...]) -> np.ndarray:
+    """The cached, read-only matrix of a named gate, with gate_matrix's
+    checks; callers must not mutate it."""
     if not gate.is_unitary:
         raise ValueError(f"{gate.value} is not a unitary gate")
     if gate in (Gate.C1, Gate.C2):
         raise ValueError(f"{gate.value} carries its matrix on the instruction")
     if len(params) != gate.n_params:
         raise ValueError(f"{gate.value} expects {gate.n_params} parameters, got {len(params)}")
-    return _matrix_cached(gate, tuple(float(p) for p in params)).copy()
+    return _matrix_cached(gate, tuple(float(p) for p in params))
+
+
+def gate_matrix(gate: Gate, params: tuple[float, ...] = ()) -> np.ndarray:
+    """Dense matrix of a named gate, a writable copy; raises for
+    measure/reset/barrier/C1/C2."""
+    return _shared_matrix(gate, params).copy()

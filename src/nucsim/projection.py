@@ -241,10 +241,14 @@ def build_filter_circuit(h: PauliHamiltonian, schedule: FilterSchedule,
         if bit == "1":
             circuit.x(q)
     terms = [(letters, coeff.real) for letters, coeff in h.sorted_terms()]
+    instrs = circuit.instructions
     for i, (t, delta) in enumerate(schedule.steps):
-        for _ in range(trotter_steps):
-            for letters, coeff in terms:
-                _rotation(circuit, letters, coeff * t / trotter_steps, ancilla)
+        # every slice of a step is the same gates at the same angles: build
+        # and check one, then repeat its (frozen, shared) instructions
+        start = len(instrs)
+        for letters, coeff in terms:
+            _rotation(circuit, letters, coeff * t / trotter_steps, ancilla)
+        instrs.extend(instrs[start:] * (trotter_steps - 1))
         circuit.ry(2.0 * delta, ancilla)
         circuit.measure(ancilla, circuit.clbit_index("c", i))
         circuit.barrier()

@@ -6,13 +6,23 @@ vocabulary, measure/reset/barrier (indexed or whole-register forms), and
 ``//`` comments.  Angle expressions allow decimal and scientific literals,
 ``pi``, unary sign, parentheses and ``+ - * /``; they are folded to doubles
 at parse time.  User ``gate`` blocks, ``if``, and ``opaque`` are rejected.
-Errors carry a line and column.
+The quantum and classical registers share one namespace.  Errors carry a
+line and column.
+
+Text in exactly the form the emitter writes (its header, ``qreg q[n];``,
+``creg`` lines, then one statement per line with single spaces, numeric
+angles and no comments) is read line by line: each distinct line is
+matched and checked once, as Circuit.append checks it, and repeated lines
+share one frozen instruction.  At the first line in any other form the
+token parser parses the whole text again, so it is the only source of
+errors and the only path for hand-written QASM.
 
 The emitter writes one instruction per line with angles at 17 significant
-digits, so parse(emit(parse(text))) reproduces parse(text) exactly.  Fused
-C1/C2 payloads have no OpenQASM name; with ``decompose=True`` a C1 emits as
-one u3 and a C2 as a cosine-sine ladder (two cx, two rzz, single-qubit
-layers), both exact up to global phase.
+digits, so parse(emit(parse(text))) reproduces parse(text) exactly.  It
+refuses a circuit with a classical register named ``q``, the name it gives
+the quantum register.  Fused C1/C2 payloads have no OpenQASM name; with
+``decompose=True`` a C1 emits as one u3 and a C2 as a cosine-sine ladder
+(two cx, two rzz, single-qubit layers), both exact up to global phase.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ import re
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, Instruction
 from .errors import QasmError
 from .gates import QASM_NAMES, Gate
 
@@ -219,6 +229,8 @@ class _Parser:
         if index < 1:
             self._error("register size must be positive", name_tok)
         self._expect("SYM", ";")
+        if any(held == name for held, _ in self.pre_cregs):
+            self._error(f"duplicate register name {name!r}", name_tok)
         self.qreg = (name, index)
         self.circuit = Circuit(index, self.pre_cregs)
 
@@ -236,6 +248,8 @@ class _Parser:
                 self._error(f"duplicate register name {name!r}", name_tok)
             self.pre_cregs.append((name, index))
             return
+        if name == self.qreg[0]:
+            self._error(f"duplicate register name {name!r}", name_tok)
         try:
             self.circuit.add_creg(name, index)
         except ValueError as exc:
@@ -342,9 +356,104 @@ class _Parser:
         circuit.barrier(*seen)
 
 
+# ---------------------------------------------------------------------------
+# fast path for emitted text
+
+_EMITTED_QREG = re.compile(r"qreg q\[([0-9]+)\];")
+_EMITTED_CREG = re.compile(r"creg ([A-Za-z_][A-Za-z0-9_]*)\[([0-9]+)\];")
+# name, optional (params), operands (q[i], q[j] or the whole register q),
+# optional -> creg[k] of a measure
+_EMITTED_OP = re.compile(
+    r"([a-z][a-z0-9]*)(?:\(([^()]*)\))? (q|q\[[0-9]+\](?:, q\[[0-9]+\])*)"
+    r"(?: -> ([A-Za-z_][A-Za-z0-9_]*)\[([0-9]+)\])?;")
+# the literals the tokenizer reads as one optional '-' and a REAL or INT
+_EMITTED_NUMBER = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def _emitted_instruction(line: str, n_qubits: int,
+                         clbits: dict[str, tuple[int, int]]) -> Instruction | None:
+    """The instruction of one emitted statement line, checked as
+    Circuit.append checks it, or None for any other line."""
+    m = _EMITTED_OP.fullmatch(line)
+    if m is None:
+        return None
+    name, params, operands, creg, cindex = m.groups()
+    if operands == "q":
+        if name != "barrier" or params is not None or creg is not None:
+            return None
+        return Instruction(Gate.BARRIER, tuple(range(n_qubits)))
+    qubits = tuple(int(k) for k in operands[2:-1].split("], q["))
+    if max(qubits) >= n_qubits or len(set(qubits)) != len(qubits):
+        return None
+    if creg is not None:
+        if name != "measure" or params is not None or len(qubits) != 1 \
+                or creg not in clbits:
+            return None
+        base, size = clbits[creg]
+        if int(cindex) >= size:
+            return None
+        return Instruction(Gate.MEASURE, qubits, cbit=base + int(cindex))
+    if name in ("reset", "barrier"):
+        if params is not None or (name == "reset" and len(qubits) != 1):
+            return None
+        return Instruction(Gate.RESET if name == "reset" else Gate.BARRIER, qubits)
+    gate = QASM_NAMES.get(name)
+    if gate is None or len(qubits) != gate.n_qubits:
+        return None
+    values: tuple[float, ...] = ()
+    if params is not None:
+        texts = params.split(",")
+        if not all(_EMITTED_NUMBER.fullmatch(t) for t in texts):
+            return None
+        values = tuple(float(t) for t in texts)
+    if len(values) != gate.n_params:
+        return None
+    return Instruction(gate, qubits, values)
+
+
+def _parse_emitted(text: str) -> Circuit | None:
+    """The circuit of text written exactly as emit_qasm writes it, or None
+    at the first line in any other form.  Identical statement lines share
+    one (frozen) instruction."""
+    lines = text.split("\n")
+    if len(lines) < 4 or lines[0] != "OPENQASM 2.0;" \
+            or lines[1] != 'include "qelib1.inc";' or lines[-1] != "":
+        return None
+    m = _EMITTED_QREG.fullmatch(lines[2])
+    if m is None or int(m[1]) < 1:
+        return None
+    n_qubits = int(m[1])
+    cregs: list[tuple[str, int]] = []
+    clbits: dict[str, tuple[int, int]] = {}  # name -> (first flat bit, size)
+    pos, base = 3, 0
+    while (m := _EMITTED_CREG.fullmatch(lines[pos])) is not None:
+        name, size = m[1], int(m[2])
+        if size < 1 or name == "q" or name in clbits:
+            return None
+        clbits[name] = (base, size)
+        cregs.append((name, size))
+        pos, base = pos + 1, base + size
+    circuit = Circuit(n_qubits, cregs)
+    instrs = circuit.instructions
+    seen: dict[str, Instruction] = {}
+    for line in lines[pos:-1]:
+        ins = seen.get(line)
+        if ins is None:
+            ins = _emitted_instruction(line, n_qubits, clbits)
+            if ins is None:
+                return None
+            seen[line] = ins
+        instrs.append(ins)
+    return circuit
+
+
 def parse_qasm(text: str) -> Circuit:
-    """Parse OpenQASM 2.0 text into a Circuit."""
-    return _Parser(text).parse()
+    """Parse OpenQASM 2.0 text into a Circuit.
+
+    Text in exactly the form emit_qasm writes takes a line-by-line fast
+    path; anything else, and every error, goes through the token parser."""
+    circuit = _parse_emitted(text)
+    return circuit if circuit is not None else _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +533,8 @@ def emit_qasm(circuit: Circuit, decompose: bool = False) -> str:
     """Serialize a circuit; requires decompose=True if it holds C1/C2."""
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{circuit.n_qubits}];"]
     for name, size in circuit.cregs:
+        if name == "q":
+            raise ValueError("classical register 'q' clashes with the emitted quantum register q")
         lines.append(f"creg {name}[{size}];")
     everything = tuple(range(circuit.n_qubits))
     for ins in circuit.instructions:

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import oracles
 from nucsim import (Circuit, FilterAssertionError, PauliHamiltonian,
-                    StateVector, apply_1q, apply_2q, apply_dense,
-                    assert_measure, expectation_pauli, infer_ancilla,
+                    StateVector, TrialState, apply_1q, apply_2q, apply_dense,
+                    assert_measure, build_filter_circuit, default_schedule,
+                    expectation_pauli, fuse_pipeline, infer_ancilla,
                     measure_project, run, sample)
 from nucsim import engine
 from nucsim.engine import _as_rng, success_product, swap_conjugate
@@ -261,6 +262,49 @@ def test_block_plan_packs_consecutive_gates():
                        engine._OP_RESET, engine._kernel_block]
     assert plan[0][1][0].shape == (16, 16)  # cx on (0,1), (1,2), (2,3)
     assert plan[1][1][0].shape == (8, 8)    # cx on (3,4), (4,5), then h(4)
+
+
+def packed_blocks(circ):
+    """_compile's greedy packing, written out: the (matrix, qubits) gate
+    lists of the plan's blocks in order, repeats included."""
+    instrs = circ.instructions[:engine._sampling_start(circ.instructions)]
+    blocks, block, qubits = [], [], set()
+    for ins in instrs:
+        if ins.is_gate:
+            if block and len(qubits | set(ins.qubits)) > engine._BLOCK_QUBITS:
+                blocks.append(block)
+                block, qubits = [], set()
+            block.append((ins.resolved_matrix(), ins.qubits))
+            qubits |= set(ins.qubits)
+        elif ins.gate is not Gate.BARRIER and block:
+            blocks.append(block)
+            block, qubits = [], set()
+    if block:
+        blocks.append(block)
+    return blocks
+
+
+@pytest.mark.parametrize("fuse", [True, False])
+def test_compile_fuses_each_distinct_block_once(monkeypatch, fuse):
+    h = PauliHamiltonian(5, {"ZIIII": 0.7, "IXIII": 0.3, "ZZIII": 0.2, "IIYYI": 0.1,
+                             "IIIXZ": 0.15})
+    circ = build_filter_circuit(h, default_schedule(1.0, 2), 6, TrialState.basis("00000"), 5)
+    if fuse:
+        circ, _ = fuse_pipeline(circ)
+    real = engine._fuse_block
+    calls = []
+    monkeypatch.setattr(engine, "_fuse_block",
+                        lambda gates: calls.append(gates) or real(gates))
+    plan, _ = engine._compile(circ, "mma", 5)
+    blocks = packed_blocks(circ)
+    distinct = {tuple((u.tobytes(), qs) for u, qs in b) for b in blocks}
+    assert len(calls) == len(distinct) < len(blocks)
+    bound = [(op, args) for op, args in plan if callable(op)]
+    assert len(bound) == len(blocks)
+    for (op, args), block in zip(bound, blocks):
+        want_op, want = real(block)  # the same block fused on its own
+        assert op is want_op
+        assert np.array_equal(args[0], want[0]) and args[1:] == want[1:]
 
 
 def replay_rejection(circ, shots, seed):

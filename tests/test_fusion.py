@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from nucsim import Circuit, fuse_pipeline, run
+from nucsim import fusion
 from nucsim.fusion import (absorb_1q, fuse_2q, gate_count, merge_1q,
                            normalize_2q_order)
 from nucsim.gates import Gate, gate_matrix
@@ -236,6 +237,34 @@ def test_pipeline_reports_four_passes():
     d = stats.to_dict()
     assert set(d) == {"gates_before", "gates_after", "reduction_factor", "per_pass"}
     assert len(d["per_pass"]) == 4
+
+
+def test_pipeline_counts_each_circuit_once(monkeypatch):
+    rng = np.random.default_rng(3)
+    c = oracles.random_filter_shaped_circuit(rng, n_system=3, n_blocks=2,
+                                             gates_per_block=12)
+    # reference: every pass's input and output counted on its own
+    current, want = c, []
+    for name, fn in (("merge_1q", merge_1q), ("absorb_1q", absorb_1q),
+                     ("normalize_2q_order", normalize_2q_order), ("fuse_2q", fuse_2q)):
+        nxt = fn(current)
+        want.append((name, gate_count(current), gate_count(nxt)))
+        current = nxt
+    scanned = []
+    monkeypatch.setattr(fusion, "gate_count",
+                        lambda circuit: scanned.append(circuit) or circuit.gate_count())
+    _, stats = fuse_pipeline(c)
+    assert len(scanned) == 5  # the input and each pass's output
+    assert [(p.name, p.gates_before, p.gates_after) for p in stats.per_pass] == want
+    assert (stats.gates_before, stats.gates_after) == (want[0][1], want[-1][2])
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+def test_lift_equals_kron(slot):
+    rng = np.random.default_rng(slot)
+    for v in [H, X, oracles.random_unitary(rng, 2), rng.normal(size=(2, 2)) + 0j]:
+        want = np.kron(I2, v) if slot == 0 else np.kron(v, I2)
+        assert np.array_equal(fusion._lift(v, slot), want)
 
 
 def test_pipeline_output_is_only_payloads_and_markers():

@@ -13,7 +13,7 @@ from nucsim import (Circuit, FilterSchedule, PauliHamiltonian, TrialState,
                     rodeo_probability, run, shift_rescale)
 from nucsim.errors import ProjectionError, ResourceLimitError
 from nucsim.gates import Gate
-from nucsim.projection import filter_generator_dense
+from nucsim.projection import _rotation, filter_generator_dense
 
 
 def two_qubit_h() -> PauliHamiltonian:
@@ -267,6 +267,31 @@ def test_gate_count_scales_linearly_in_slices():
     predicted_doubled = c1.gate_count() + 4 * per_slice
     assert c2.gate_count() == predicted_doubled
     assert c2.gate_count() > 2 * (c1.gate_count() - overhead * 2) / 2
+
+
+def test_repeated_slices_match_a_slice_by_slice_build():
+    h = PauliHamiltonian(3, {"ZII": 0.7, "IXI": -0.3, "XYZ": 0.25, "IZZ": 0.1, "III": 0.4})
+    sched = FilterSchedule(((1.3, 0.2), (0.6, -0.1), (0.3, 0.0)))
+    trial = TrialState.basis("101")
+    for trotter in (1, 2, 5):
+        want = Circuit(4, [("c", 3), ("r", 4)])
+        want.x(0)
+        want.x(2)
+        terms = [(letters, coeff.real) for letters, coeff in h.sorted_terms()]
+        for i, (t, delta) in enumerate(sched.steps):
+            for _ in range(trotter):
+                for letters, coeff in terms:
+                    _rotation(want, letters, coeff * t / trotter, 3)
+            want.ry(2.0 * delta, 3)
+            want.measure(3, i)
+            want.barrier()
+            want.reset(3)
+            want.barrier()
+        for q in range(4):
+            want.measure(q, 3 + q)
+        got = build_filter_circuit(h, sched, trotter, trial, ancilla=3)
+        assert got.cregs == want.cregs
+        assert [i.key() for i in got.instructions] == [i.key() for i in want.instructions]
 
 
 def test_circuit_approaches_exact_step_evolution():

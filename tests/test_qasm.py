@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nucsim import Circuit, parse_qasm, emit_qasm
+from nucsim import Circuit, parse_qasm, emit_qasm, qasm
 from nucsim.errors import QasmError
 from nucsim.gates import QASM_NAMES, Gate
 
@@ -121,6 +121,9 @@ def test_comments_and_whitespace_ignored():
     (HEADER + "qreg q[2];\nh q[0]\nh q[1];\n", 5, ""),
     (HEADER + "qreg q[2];\n@ q[0];\n", 4, "@"),
     (HEADER + "qreg q[2];\ncx q,q[1];\n", 4, ""),
+    (HEADER + "qreg q[1];\ncreg q[1];\nmeasure q[0] -> q[0];\n", 4,
+     "duplicate register name 'q'"),
+    (HEADER + "creg q[1];\nqreg q[1];\n", 4, "duplicate register name 'q'"),
 ])
 def test_errors_carry_position(snippet, line, fragment):
     with pytest.raises(QasmError) as exc:
@@ -160,6 +163,16 @@ def test_full_width_barrier_prints_register_form():
     out = emit_qasm(c)
     assert "barrier q;" in out
     assert "barrier q[1];" in out
+
+
+def test_creg_named_like_the_emitted_qreg_is_refused():
+    c = Circuit(2, [("q", 2)])
+    with pytest.raises(ValueError, match="'q'"):
+        emit_qasm(c)
+    # a valid file whose quantum register has another name
+    parsed = parse_qasm(HEADER + "qreg a[2];\ncreg q[2];\nmeasure a[0] -> q[1];\n")
+    with pytest.raises(ValueError, match="'q'"):
+        emit_qasm(parsed)
 
 
 def test_seventeen_digit_angles_survive():
@@ -237,3 +250,103 @@ def test_round_trip_random_circuits(seed, count):
     c.reset(0)
     back = parse_qasm(emit_qasm(c))
     assert [i.key() for i in back.instructions] == [i.key() for i in c.instructions]
+
+
+# ---------------------------------------------------------------------------
+# the fast path for emitted text against the token parser
+
+
+def assert_same_circuit(a, b):
+    assert a.n_qubits == b.n_qubits
+    assert a.cregs == b.cregs
+    assert [i.key() for i in a.instructions] == [i.key() for i in b.instructions]
+
+
+@st.composite
+def emitted_circuits(draw):
+    n = draw(st.integers(3, 5))
+    cregs = draw(st.lists(st.tuples(st.sampled_from(["c", "r", "m", "meas", "pi"]),
+                                    st.integers(1, 4)),
+                          max_size=3, unique_by=lambda r: r[0]))
+    c = Circuit(n, cregs)
+    angle = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 1e-300, 1e300]))
+    ops = st.sampled_from(["gate", "gate", "u3", "measure", "reset", "barrier"])
+    for op in draw(st.lists(ops, max_size=25)):
+        if op == "measure" and c.n_clbits:
+            c.measure(draw(st.integers(0, n - 1)), draw(st.integers(0, c.n_clbits - 1)))
+        elif op == "reset":
+            c.reset(draw(st.integers(0, n - 1)))
+        elif op == "barrier":
+            qs = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+            c.barrier(*qs)
+        else:
+            gate = Gate.U3 if op == "u3" else draw(st.sampled_from(
+                sorted(QASM_NAMES.values(), key=lambda g: g.value)))
+            if gate.n_qubits > 3:
+                gate = Gate.CCX
+            qubits = draw(st.lists(st.integers(0, n - 1), min_size=gate.n_qubits,
+                                   max_size=gate.n_qubits, unique=True))
+            params = tuple(draw(angle) for _ in range(gate.n_params))
+            c.gate_op(gate, tuple(qubits), params)
+    return c
+
+
+@given(circuit=emitted_circuits())
+@settings(max_examples=60, deadline=None)
+def test_fast_path_matches_token_parser_on_emitted_text(circuit):
+    text = emit_qasm(circuit)
+    fast = qasm._parse_emitted(text)
+    assert fast is not None  # emitted text never needs the token parser
+    assert_same_circuit(fast, qasm._Parser(text).parse())
+    assert_same_circuit(parse_qasm(text), circuit)
+
+
+_CANON = HEADER + "qreg q[3];\ncreg c[2];\n"
+
+
+@pytest.mark.parametrize("body", [
+    "h q[3];\n",                          # qubit out of range
+    "cx q[1], q[1];\n",                   # duplicate operand
+    "rz(0.5,0.25) q[0];\n",               # wrong parameter count
+    "h(0.5) q[0];\n",
+    "ccx q[0], q[1];\n",                  # wrong arity
+    "foo q[0];\n",                        # unknown name
+    "c2 q[0], q[1];\n",
+    "h q[0]\n",                           # missing ;
+    "h q[0]; // note\n",                  # trailing comment
+    "cx q[0],  q[1];\n",                  # double space
+    "rz(pi/2) q[0];\n",                   # expression
+    "rz(inf) q[0];\n",                    # a non-finite angle as .17g writes it
+    "measure q[0] -> c[2];\n",            # classical bit out of range
+    "measure q[0] -> d[0];\n",            # unknown classical register
+    "reset q;\n",                         # whole-register reset
+    "barrier q[0], q[0];\n",              # repeated barrier operand
+    "creg q[1];\n",                       # creg q after qreg q
+    "h q[0];\n\nh q[1];\n",               # blank line
+    "h q[0];",                             # no final newline
+])
+def test_fast_path_agrees_with_token_parser_near_canonical_form(body):
+    """Lines close to the emitted form take the token parser, and both
+    parse_qasm and the token parser give the same circuit or error."""
+    for text in (_CANON + body, (_CANON + body).replace("\n", "\r\n")):
+        assert qasm._parse_emitted(text) is None
+        try:
+            want = qasm._Parser(text).parse()
+        except QasmError as exc:
+            with pytest.raises(QasmError) as got:
+                parse_qasm(text)
+            assert (str(got.value), got.value.line, got.value.col) == \
+                (str(exc), exc.line, exc.col)
+        else:
+            assert_same_circuit(parse_qasm(text), want)
+
+
+def test_fast_path_shares_one_instruction_per_distinct_line():
+    c = Circuit(2, [("c", 1)])
+    for _ in range(3):
+        c.h(0)
+        c.cx(0, 1)
+    c.measure(1, 0)
+    parsed = qasm._parse_emitted(emit_qasm(c))
+    assert len({id(i) for i in parsed.instructions}) == 3
+    assert_same_circuit(parsed, c)
