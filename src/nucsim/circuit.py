@@ -158,10 +158,13 @@ class Circuit:
 
 
 def _checked_payload(matrix: np.ndarray, dim: int) -> np.ndarray:
-    m = np.ascontiguousarray(matrix, dtype=complex)
+    # a read-only copy: the caller's array may change after the check, and
+    # fusion keys its products on the identity of payloads that never change
+    m = np.array(matrix, dtype=complex, order="C")
     if m.shape != (dim, dim):
         raise ValueError(f"payload must be {dim}x{dim}")
     err = np.max(np.abs(m.conj().T @ m - np.eye(dim)))
     if err > _ATOL_UNITARY:
         raise ValueError(f"payload is not unitary (deviation {err:.2e})")
+    m.setflags(write=False)
     return m

@@ -17,6 +17,17 @@ through opaque and act as walls on their qubits.  The pipeline is
 idempotent: running it on its own output changes nothing.
 
 Gate counts in the reported statistics exclude measure, reset and barrier.
+
+Each pass costs in proportion to the distinct work in a circuit, not to its
+gate count.  The Trotter slices of a filter circuit repeat the same frozen
+instructions and read-only gate matrices, so a pass meets the same operands
+again and again.  One memo per pass call, dropped when the call returns,
+keys on the identity of those objects: the matrix of each instruction, each
+product ``a @ b`` (operands and their order as written, never
+re-associated), each lift of a 2x2 matrix onto a slot, each SWAP conjugate
+and each output C1/C2 instruction.  Its outputs are therefore shared, and
+the next pass meets them as repeats too.  The payload matrices the passes
+compute are shared and read-only.
 """
 
 from __future__ import annotations
@@ -76,14 +87,6 @@ def _push(circuit: Circuit, ins: Instruction) -> int:
     return len(circuit.instructions) - 1
 
 
-def _c1(qubit: int, matrix: np.ndarray) -> Instruction:
-    return Instruction(Gate.C1, (qubit,), (), matrix)
-
-
-def _c2(qubits: tuple[int, int], matrix: np.ndarray) -> Instruction:
-    return Instruction(Gate.C2, qubits, (), matrix)
-
-
 def _lift(v: np.ndarray, slot: int) -> np.ndarray:
     """2x2 matrix acting on one slot of a (slot0 low, slot1 high) pair:
     kron(I, v) for slot 0, kron(v, I) for slot 1, written by slicing."""
@@ -95,12 +98,75 @@ def _lift(v: np.ndarray, slot: int) -> np.ndarray:
     return out
 
 
+class _Memo:
+    """The matrices and instructions one pass call computes, each once.
+
+    Entries are keyed by the identity of their operands (instructions hash
+    by identity), and every entry holds a reference to the objects it is
+    keyed on, so no id is reused while the memo lives.  Arrays it returns
+    are shared between instructions and therefore read-only.
+    """
+
+    __slots__ = ("_matrix", "_product", "_lift", "_swapped", "_out")
+
+    def __init__(self):
+        self._matrix: dict[Instruction, np.ndarray] = {}
+        self._product: dict[tuple[int, int], tuple] = {}   # -> (a @ b, a, b)
+        self._lift: dict[tuple[int, int], tuple] = {}      # -> (lift, v)
+        self._swapped: dict[Instruction, Instruction] = {}
+        self._out: dict[tuple, Instruction] = {}           # payload held by the value
+
+    def matrix(self, ins: Instruction) -> np.ndarray:
+        m = self._matrix.get(ins)
+        if m is None:
+            m = self._matrix[ins] = ins.resolved_matrix()
+        return m
+
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b, with the operands in this order, never re-associated."""
+        key = (id(a), id(b))
+        hit = self._product.get(key)
+        if hit is None:
+            p = a @ b
+            p.setflags(write=False)
+            hit = self._product[key] = (p, a, b)
+        return hit[0]
+
+    def lift(self, v: np.ndarray, slot: int) -> np.ndarray:
+        key = (id(v), slot)
+        hit = self._lift.get(key)
+        if hit is None:
+            m = _lift(v, slot)
+            m.setflags(write=False)
+            hit = self._lift[key] = (m, v)
+        return hit[0]
+
+    def swapped(self, ins: Instruction) -> Instruction:
+        """The C2 on ascending operands of a two-qubit gate on (b, a)."""
+        out = self._swapped.get(ins)
+        if out is None:
+            m = swap_conjugate(self.matrix(ins))
+            m.setflags(write=False)
+            out = self._swapped[ins] = self.payload((ins.qubits[1], ins.qubits[0]), m)
+        return out
+
+    def payload(self, qubits: tuple[int, ...], matrix: np.ndarray) -> Instruction:
+        """The C1 (one qubit) or C2 (two) instruction carrying `matrix`."""
+        key = (qubits, id(matrix))
+        out = self._out.get(key)
+        if out is None:
+            gate = Gate.C1 if len(qubits) == 1 else Gate.C2
+            out = self._out[key] = Instruction(gate, qubits, (), matrix)
+        return out
+
+
 def merge_1q(circuit: Circuit) -> Circuit:
     """Collapse runs of adjacent single-qubit gates into one C1 each.
 
     Lone single-qubit gates also become C1, so downstream passes and the
     pipeline contract see a uniform payload representation.
     """
+    memo = _Memo()
     out = circuit.copy_empty()
     dest = out.instructions
     # qubit -> [slot in dest, accumulated matrix]
@@ -109,16 +175,16 @@ def merge_1q(circuit: Circuit) -> Circuit:
     def flush(q: int) -> None:
         run = pending.pop(q, None)
         if run is not None:
-            dest[run[0]] = _c1(q, run[1])
+            dest[run[0]] = memo.payload((q,), run[1])
 
     for ins in circuit.instructions:
         if ins.is_gate and len(ins.qubits) == 1:
             q = ins.qubits[0]
             run = pending.get(q)
             if run is None:
-                pending[q] = [_push(out, ins), ins.resolved_matrix()]
+                pending[q] = [_push(out, ins), memo.matrix(ins)]
             else:
-                run[1] = ins.resolved_matrix() @ run[1]
+                run[1] = memo.product(memo.matrix(ins), run[1])
         else:
             for q in ins.qubits:
                 flush(q)
@@ -135,19 +201,30 @@ def absorb_1q(circuit: Circuit) -> Circuit:
     touches q with no other instruction on q in between: U then V becomes
     lift(V) @ U, V then U becomes U @ lift(V).  Repeats until stable.
     """
-    current = circuit
-    while True:
-        nxt, changed = _absorb_sweep(current)
-        if not changed:
-            return nxt
-        current = nxt
+    memo = _Memo()
+    current = _absorb_sweep(circuit, memo)
+    while _absorbable(current):
+        current = _absorb_sweep(current, memo)
+    return current
 
 
-def _absorb_sweep(circuit: Circuit) -> tuple[Circuit, bool]:
+def _absorbable(circuit: Circuit) -> bool:
+    """Whether some single-qubit gate is next to a two-qubit gate on a
+    qubit's timeline: exactly when an absorb sweep would change anything."""
+    width = [0] * circuit.n_qubits  # per qubit: arity of its last instruction, 0 for markers
+    for ins in circuit.instructions:
+        w = len(ins.qubits) if ins.is_gate else 0
+        for q in ins.qubits:
+            if width[q] * w == 2:  # a 1q and a 2q gate, in either order
+                return True
+            width[q] = w
+    return False
+
+
+def _absorb_sweep(circuit: Circuit, memo: _Memo) -> Circuit:
     out = circuit.copy_empty()
     dest: list[Instruction | None] = []
     last: dict[int, int] = {}
-    changed = False
 
     for ins in circuit.instructions:
         if ins.is_gate and len(ins.qubits) == 1:
@@ -156,9 +233,8 @@ def _absorb_sweep(circuit: Circuit) -> tuple[Circuit, bool]:
             prev = dest[j] if j is not None else None
             if prev is not None and prev.is_gate and len(prev.qubits) == 2:
                 slot = prev.qubits.index(q)
-                merged = _lift(ins.resolved_matrix(), slot) @ prev.resolved_matrix()
-                dest[j] = _c2(prev.qubits, merged)
-                changed = True
+                merged = memo.product(memo.lift(memo.matrix(ins), slot), memo.matrix(prev))
+                dest[j] = memo.payload(prev.qubits, merged)
                 continue
         elif ins.is_gate and len(ins.qubits) == 2:
             matrix = None
@@ -167,18 +243,17 @@ def _absorb_sweep(circuit: Circuit) -> tuple[Circuit, bool]:
                 prev = dest[j] if j is not None else None
                 if prev is not None and prev.is_gate and len(prev.qubits) == 1:
                     if matrix is None:
-                        matrix = ins.resolved_matrix()
-                    matrix = matrix @ _lift(prev.resolved_matrix(), slot)
+                        matrix = memo.matrix(ins)
+                    matrix = memo.product(matrix, memo.lift(memo.matrix(prev), slot))
                     dest[j] = None
-                    changed = True
             if matrix is not None:
-                ins = _c2(ins.qubits, matrix)
+                ins = memo.payload(ins.qubits, matrix)
         dest.append(ins)
         here = len(dest) - 1
         for q in ins.qubits:
             last[q] = here
     out.instructions.extend(i for i in dest if i is not None)
-    return out, changed
+    return out
 
 
 def normalize_2q_order(circuit: Circuit) -> Circuit:
@@ -187,10 +262,11 @@ def normalize_2q_order(circuit: Circuit) -> Circuit:
     A gate on (b, a) with a < b becomes a C2 on (a, b) whose matrix is the
     original conjugated by SWAP (index permutation 0,2,1,3).
     """
+    memo = _Memo()
     out = circuit.copy_empty()
     for ins in circuit.instructions:
         if ins.is_gate and len(ins.qubits) == 2 and ins.qubits[0] > ins.qubits[1]:
-            ins = _c2((ins.qubits[1], ins.qubits[0]), swap_conjugate(ins.resolved_matrix()))
+            ins = memo.swapped(ins)
         _push(out, ins)
     return out
 
@@ -201,20 +277,24 @@ def fuse_2q(circuit: Circuit) -> Circuit:
     Lone two-qubit gates become C2 as well, completing the pipeline's
     payload-only output contract.
     """
+    memo = _Memo()
     out = circuit.copy_empty()
     dest = out.instructions
     # ordered pair -> [slot in dest, accumulated matrix]
     pending: dict[tuple[int, int], list] = {}
+    # qubit -> the pending pair on it; pending pairs never share a qubit
+    owner: dict[int, tuple[int, int]] = {}
 
     def flush(pair: tuple[int, int]) -> None:
-        run = pending.pop(pair, None)
-        if run is not None:
-            dest[run[0]] = _c2(pair, run[1])
+        run = pending.pop(pair)
+        dest[run[0]] = memo.payload(pair, run[1])
+        del owner[pair[0]], owner[pair[1]]
 
     def flush_touching(qubits: tuple[int, ...], keep: tuple[int, int] | None = None) -> None:
-        touched = set(qubits)
-        for pair in [p for p in pending if p != keep and touched & set(p)]:
-            flush(pair)
+        for q in qubits:
+            pair = owner.get(q)
+            if pair is not None and pair != keep:
+                flush(pair)
 
     for ins in circuit.instructions:
         if ins.is_gate and len(ins.qubits) == 2:
@@ -222,9 +302,10 @@ def fuse_2q(circuit: Circuit) -> Circuit:
             flush_touching(pair, keep=pair)
             run = pending.get(pair)
             if run is None:
-                pending[pair] = [_push(out, ins), ins.resolved_matrix()]
+                pending[pair] = [_push(out, ins), memo.matrix(ins)]
+                owner[pair[0]] = owner[pair[1]] = pair
             else:
-                run[1] = ins.resolved_matrix() @ run[1]
+                run[1] = memo.product(memo.matrix(ins), run[1])
         else:
             flush_touching(ins.qubits)
             _push(out, ins)

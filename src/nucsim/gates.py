@@ -70,19 +70,17 @@ class Gate(Enum):
     RESET = "reset"
     BARRIER = "barrier"
 
+    # plain member attributes, not properties: fusion, Circuit.append and the
+    # QASM fast path ask them per instruction, and an enum property that looks
+    # a member up in a dict hashes it through the Python-level Enum.__hash__,
+    # about 1 us on CPython 3.11.  n_qubits and n_params are set below from
+    # the _N_QUBITS and _N_PARAMS tables.
+    is_unitary: bool
+    n_qubits: int
+    n_params: int
+
     def __init__(self, tag: str):
-        # a plain member attribute, not a property: fusion asks it once per
-        # instruction per pass, and an enum property that looks up members
-        # costs about 1 us on CPython 3.11
         self.is_unitary = tag not in ("measure", "reset", "barrier")
-
-    @property
-    def n_qubits(self) -> int:
-        return _N_QUBITS[self]
-
-    @property
-    def n_params(self) -> int:
-        return _N_PARAMS[self]
 
 
 _N_QUBITS = {
@@ -106,6 +104,11 @@ _N_PARAMS.update({
     Gate.CU1: 1, Gate.CU3: 3,
     Gate.RXX: 1, Gate.RZZ: 1,
 })
+
+for _gate in Gate:
+    _gate.n_qubits = _N_QUBITS[_gate]
+    _gate.n_params = _N_PARAMS[_gate]
+del _gate
 
 QASM_NAMES = {g.value: g for g in Gate if g.is_unitary and g not in (Gate.C1, Gate.C2)}
 

@@ -23,6 +23,9 @@ refuses a circuit with a classical register named ``q``, the name it gives
 the quantum register.  Fused C1/C2 payloads have no OpenQASM name; with
 ``decompose=True`` a C1 emits as one u3 and a C2 as a cosine-sine ladder
 (two cx, two rzz, single-qubit layers), both exact up to global phase.
+One emit call formats each distinct instruction object once and repeats its
+text, and decomposes each distinct C2 payload once; the memos live for that
+call only.
 """
 
 from __future__ import annotations
@@ -524,9 +527,37 @@ def decompose_c2(u: np.ndarray, a: int, b: int) -> list[tuple]:
     return gates
 
 
-def _emit_line(name: str, params: tuple[float, ...], operands: list[str]) -> str:
+def _emit_line(name: str, params: tuple[float, ...], qubits: tuple[int, ...]) -> str:
     head = name if not params else f"{name}({','.join(_fmt(p) for p in params)})"
-    return f"{head} {', '.join(operands)};"
+    return f"{head} {', '.join(f'q[{q}]' for q in qubits)};"
+
+
+def _emit_instruction(circuit: Circuit, ins: Instruction, decompose: bool,
+                      ladders: dict[int, tuple[list[tuple], np.ndarray]]) -> str:
+    """The line, or lines, of one instruction.  `ladders` holds the
+    decomposition of each C2 payload seen so far onto slots (0, 1), with the
+    payload itself so that its id stays unique."""
+    g = ins.gate
+    if g is Gate.MEASURE:
+        reg, offset = circuit.clbit_location(ins.cbit)
+        return f"measure q[{ins.qubits[0]}] -> {reg}[{offset}];"
+    if g is Gate.RESET:
+        return f"reset q[{ins.qubits[0]}];"
+    if g is Gate.BARRIER:
+        if ins.qubits == tuple(range(circuit.n_qubits)):
+            return "barrier q;"
+        return _emit_line("barrier", (), ins.qubits)
+    if g is Gate.C1 or g is Gate.C2:
+        if not decompose:
+            raise ValueError("fused payload gates need decompose=True to serialize")
+        if g is Gate.C1:
+            return _emit_line("u3", _zyz_u3(ins.matrix), ins.qubits)
+        hit = ladders.get(id(ins.matrix))
+        if hit is None:
+            hit = ladders[id(ins.matrix)] = (decompose_c2(ins.matrix, 0, 1), ins.matrix)
+        return "\n".join(_emit_line(name, params, tuple(ins.qubits[s] for s in slots))
+                         for name, slots, params in hit[0])
+    return _emit_line(g.value, ins.params, ins.qubits)
 
 
 def emit_qasm(circuit: Circuit, decompose: bool = False) -> str:
@@ -536,28 +567,13 @@ def emit_qasm(circuit: Circuit, decompose: bool = False) -> str:
         if name == "q":
             raise ValueError("classical register 'q' clashes with the emitted quantum register q")
         lines.append(f"creg {name}[{size}];")
-    everything = tuple(range(circuit.n_qubits))
+    # this call's memos: the text of each instruction object (instructions
+    # hash by identity), and each C2 payload's decomposition
+    emitted: dict[Instruction, str] = {}
+    ladders: dict[int, tuple[list[tuple], np.ndarray]] = {}
     for ins in circuit.instructions:
-        g = ins.gate
-        if g is Gate.MEASURE:
-            reg, offset = circuit.clbit_location(ins.cbit)
-            lines.append(f"measure q[{ins.qubits[0]}] -> {reg}[{offset}];")
-        elif g is Gate.RESET:
-            lines.append(f"reset q[{ins.qubits[0]}];")
-        elif g is Gate.BARRIER:
-            if ins.qubits == everything:
-                lines.append("barrier q;")
-            else:
-                lines.append(_emit_line("barrier", (), [f"q[{q}]" for q in ins.qubits]))
-        elif g is Gate.C1:
-            if not decompose:
-                raise ValueError("fused payload gates need decompose=True to serialize")
-            lines.append(_emit_line("u3", _zyz_u3(ins.matrix), [f"q[{ins.qubits[0]}]"]))
-        elif g is Gate.C2:
-            if not decompose:
-                raise ValueError("fused payload gates need decompose=True to serialize")
-            for name, qs, params in decompose_c2(ins.matrix, *ins.qubits):
-                lines.append(_emit_line(name, params, [f"q[{q}]" for q in qs]))
-        else:
-            lines.append(_emit_line(g.value, ins.params, [f"q[{q}]" for q in ins.qubits]))
+        text = emitted.get(ins)
+        if text is None:
+            text = emitted[ins] = _emit_instruction(circuit, ins, decompose, ladders)
+        lines.append(text)
     return "\n".join(lines) + "\n"

@@ -7,15 +7,21 @@ executed by full matrix-vector products.  Slow but obviously correct, and
 only used at small qubit counts.  The exceptions are the three kernels
 below, einsum_1q, einsum_2q and moveaxis_kq: the engine's former
 formulations, kept as the reference for its gather-multiply-scatter kernels
-and block plans at widths where dense lifting is too slow to fuzz.
+and block plans at widths where dense lifting is too slow to fuzz; and the
+four fusion passes at the end, merge_1q, absorb_1q, normalize_2q_order and
+fuse_2q with their fuse_pipeline: the former per-gate passes, which compute
+every product afresh, kept as the bit-exact reference for the memoized ones.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from nucsim.circuit import Circuit
-from nucsim.gates import Gate, gate_matrix
+from nucsim.circuit import Circuit, Instruction
+from nucsim.fusion import FusionStats, PassStats, gate_count
+from nucsim.gates import Gate, gate_matrix, swap_conjugate
+from nucsim.hamiltonian import PauliHamiltonian
+from nucsim.projection import TrialState, build_filter_circuit, default_schedule
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -215,3 +221,204 @@ def random_filter_shaped_circuit(rng: np.random.Generator, n_system: int,
     for q in range(n):
         circuit.measure(q, circuit.clbit_index("r", q))
     return circuit
+
+
+def fresh_copy(ins: Instruction) -> Instruction:
+    """The same instruction as a new object, with its own payload copy."""
+    matrix = None if ins.matrix is None else ins.matrix.copy()
+    return Instruction(ins.gate, ins.qubits, ins.params, matrix, ins.cbit)
+
+
+def chain_filter_circuit(n_spins: int, steps: int, trotter: int) -> Circuit:
+    """The filter circuit of a transverse-field ZZ chain (fields 0.12 +
+    0.01 i, couplings 0.08) plus its ancilla, on a halving schedule."""
+    terms = {}
+    for i in range(n_spins):
+        terms["I" * i + "X" + "I" * (n_spins - i - 1)] = 0.12 + 0.01 * i
+    for i in range(n_spins - 1):
+        terms["I" * i + "ZZ" + "I" * (n_spins - i - 2)] = 0.08
+    return build_filter_circuit(PauliHamiltonian(n_spins, terms), default_schedule(0.5, steps),
+                                trotter, TrialState.basis("0" * n_spins), n_spins)
+
+
+# ---------------------------------------------------------------------------
+# per-gate fusion passes: every matrix product computed afresh
+
+
+def _push(circuit: Circuit, ins: Instruction) -> int:
+    # instructions come from an already validated circuit; skip re-checks
+    circuit.instructions.append(ins)
+    return len(circuit.instructions) - 1
+
+
+def _c1(qubit: int, matrix: np.ndarray) -> Instruction:
+    return Instruction(Gate.C1, (qubit,), (), matrix)
+
+
+def _c2(qubits: tuple[int, int], matrix: np.ndarray) -> Instruction:
+    return Instruction(Gate.C2, qubits, (), matrix)
+
+
+def _lift(v: np.ndarray, slot: int) -> np.ndarray:
+    """2x2 matrix acting on one slot of a (slot0 low, slot1 high) pair:
+    kron(I, v) for slot 0, kron(v, I) for slot 1, written by slicing."""
+    out = np.zeros((4, 4), dtype=complex)
+    if slot == 0:
+        out[:2, :2] = out[2:, 2:] = v
+    else:
+        out[::2, ::2] = out[1::2, 1::2] = v
+    return out
+
+
+def merge_1q(circuit: Circuit) -> Circuit:
+    """Collapse runs of adjacent single-qubit gates into one C1 each.
+
+    Lone single-qubit gates also become C1, so downstream passes and the
+    pipeline contract see a uniform payload representation.
+    """
+    out = circuit.copy_empty()
+    dest = out.instructions
+    # qubit -> [slot in dest, accumulated matrix]
+    pending: dict[int, list] = {}
+
+    def flush(q: int) -> None:
+        run = pending.pop(q, None)
+        if run is not None:
+            dest[run[0]] = _c1(q, run[1])
+
+    for ins in circuit.instructions:
+        if ins.is_gate and len(ins.qubits) == 1:
+            q = ins.qubits[0]
+            run = pending.get(q)
+            if run is None:
+                pending[q] = [_push(out, ins), ins.resolved_matrix()]
+            else:
+                run[1] = ins.resolved_matrix() @ run[1]
+        else:
+            for q in ins.qubits:
+                flush(q)
+            _push(out, ins)
+    for q in list(pending):
+        flush(q)
+    return out
+
+
+def absorb_1q(circuit: Circuit) -> Circuit:
+    """Fold single-qubit gates into an adjacent two-qubit gate.
+
+    A lone gate V on qubit q merges into the nearest two-qubit gate U that
+    touches q with no other instruction on q in between: U then V becomes
+    lift(V) @ U, V then U becomes U @ lift(V).  Repeats until stable.
+    """
+    current = circuit
+    while True:
+        nxt, changed = _absorb_sweep(current)
+        if not changed:
+            return nxt
+        current = nxt
+
+
+def _absorb_sweep(circuit: Circuit) -> tuple[Circuit, bool]:
+    out = circuit.copy_empty()
+    dest: list[Instruction | None] = []
+    last: dict[int, int] = {}
+    changed = False
+
+    for ins in circuit.instructions:
+        if ins.is_gate and len(ins.qubits) == 1:
+            q = ins.qubits[0]
+            j = last.get(q)
+            prev = dest[j] if j is not None else None
+            if prev is not None and prev.is_gate and len(prev.qubits) == 2:
+                slot = prev.qubits.index(q)
+                merged = _lift(ins.resolved_matrix(), slot) @ prev.resolved_matrix()
+                dest[j] = _c2(prev.qubits, merged)
+                changed = True
+                continue
+        elif ins.is_gate and len(ins.qubits) == 2:
+            matrix = None
+            for slot, q in enumerate(ins.qubits):
+                j = last.get(q)
+                prev = dest[j] if j is not None else None
+                if prev is not None and prev.is_gate and len(prev.qubits) == 1:
+                    if matrix is None:
+                        matrix = ins.resolved_matrix()
+                    matrix = matrix @ _lift(prev.resolved_matrix(), slot)
+                    dest[j] = None
+                    changed = True
+            if matrix is not None:
+                ins = _c2(ins.qubits, matrix)
+        dest.append(ins)
+        here = len(dest) - 1
+        for q in ins.qubits:
+            last[q] = here
+    out.instructions.extend(i for i in dest if i is not None)
+    return out, changed
+
+
+def normalize_2q_order(circuit: Circuit) -> Circuit:
+    """Rewrite two-qubit gates onto ascending operands.
+
+    A gate on (b, a) with a < b becomes a C2 on (a, b) whose matrix is the
+    original conjugated by SWAP (index permutation 0,2,1,3).
+    """
+    out = circuit.copy_empty()
+    for ins in circuit.instructions:
+        if ins.is_gate and len(ins.qubits) == 2 and ins.qubits[0] > ins.qubits[1]:
+            ins = _c2((ins.qubits[1], ins.qubits[0]), swap_conjugate(ins.resolved_matrix()))
+        _push(out, ins)
+    return out
+
+
+def fuse_2q(circuit: Circuit) -> Circuit:
+    """Collapse runs of two-qubit gates on one ordered pair into one C2.
+
+    Lone two-qubit gates become C2 as well, completing the pipeline's
+    payload-only output contract.
+    """
+    out = circuit.copy_empty()
+    dest = out.instructions
+    # ordered pair -> [slot in dest, accumulated matrix]
+    pending: dict[tuple[int, int], list] = {}
+
+    def flush(pair: tuple[int, int]) -> None:
+        run = pending.pop(pair, None)
+        if run is not None:
+            dest[run[0]] = _c2(pair, run[1])
+
+    def flush_touching(qubits: tuple[int, ...], keep: tuple[int, int] | None = None) -> None:
+        touched = set(qubits)
+        for pair in [p for p in pending if p != keep and touched & set(p)]:
+            flush(pair)
+
+    for ins in circuit.instructions:
+        if ins.is_gate and len(ins.qubits) == 2:
+            pair = ins.qubits
+            flush_touching(pair, keep=pair)
+            run = pending.get(pair)
+            if run is None:
+                pending[pair] = [_push(out, ins), ins.resolved_matrix()]
+            else:
+                run[1] = ins.resolved_matrix() @ run[1]
+        else:
+            flush_touching(ins.qubits)
+            _push(out, ins)
+    for pair in list(pending):
+        flush(pair)
+    return out
+
+
+def fuse_pipeline(circuit: Circuit) -> tuple[Circuit, FusionStats]:
+    """Run all four passes in order and report per-pass gate counts."""
+    passes = (("merge_1q", merge_1q), ("absorb_1q", absorb_1q),
+              ("normalize_2q_order", normalize_2q_order), ("fuse_2q", fuse_2q))
+    before = count = gate_count(circuit)
+    stats = []
+    current = circuit
+    for name, fn in passes:
+        # each circuit is counted once: a pass starts from its predecessor's count
+        current = fn(current)
+        after = gate_count(current)
+        stats.append(PassStats(name, count, after))
+        count = after
+    return current, FusionStats(before, count, tuple(stats))

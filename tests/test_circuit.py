@@ -131,3 +131,15 @@ def test_is_gate_flags():
     assert Instruction(Gate.C2, (0, 1), matrix=np.eye(4, dtype=complex)).is_gate
     assert not Instruction(Gate.MEASURE, (0,), cbit=0).is_gate
     assert not Instruction(Gate.BARRIER, (0,)).is_gate
+
+
+def test_fused_payload_is_a_read_only_copy():
+    c = Circuit(2)
+    m1 = np.eye(2, dtype=complex)
+    m2 = np.eye(4, dtype=complex)
+    c.fused_1q(m1, 0)
+    c.fused_2q(m2, 0, 1)
+    m1[0, 0] = m2[0, 0] = 5.0
+    for ins, dim in zip(c.instructions, (2, 4)):
+        assert np.array_equal(ins.matrix, np.eye(dim))
+        assert not ins.matrix.flags.writeable

@@ -334,3 +334,122 @@ def test_pipeline_preserves_assert_probs():
     assert opt.assert_probs == pytest.approx(plain.assert_probs, abs=1e-9)
     assert opt.samples == plain.samples
     assert stats.gates_after <= stats.gates_before
+
+
+# ---------------------------------------------------------------------------
+# the memoized passes against the per-gate reference passes
+
+
+def _payload_pool(rng, n):
+    """Instructions to draw circuits from: named 1q/2q gates on either
+    operand order, 3-qubit gates, C1/C2 payloads and measure/reset/barrier."""
+    c = Circuit(n, [("c", 2)])
+    oracles.random_gates(rng, c, 12, p_two=0.5)
+    c.gate_op(Gate.CCX, tuple(int(q) for q in rng.permutation(n)[:3]))
+    c.gate_op(Gate.CSWAP, (0, 1, 2))
+    c.fused_1q(oracles.random_unitary(rng, 2), int(rng.integers(n)))
+    a, b = rng.choice(n, size=2, replace=False)
+    c.fused_2q(oracles.random_unitary(rng, 4), int(a), int(b))
+    c.measure(int(rng.integers(n)), 1)
+    c.reset(int(rng.integers(n)))
+    c.barrier()
+    c.barrier(int(rng.integers(n)))
+    return c.instructions
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(None)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _assert_same_circuit(got, want):
+    assert [i.key() for i in got.instructions] == [i.key() for i in want.instructions]
+    for a, b in zip(got.instructions, want.instructions):
+        assert (a.matrix is None) == (b.matrix is None)
+        if a.matrix is not None:
+            assert np.array_equal(a.matrix, b.matrix)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), shared=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_passes_match_per_gate_reference(seed, shared):
+    """Each pass and the pipeline give the reference's instructions, bit for
+    bit, on repeated slices of shared or freshly built instructions."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 5))
+    pool = _payload_pool(rng, n)
+    # mostly 1q gates, so runs of unmerged 1q gates meet 2q gates
+    weights = np.array([3.0 if i.is_gate and len(i.qubits) == 1 else 1.0 for i in pool])
+    picks = rng.choice(len(pool), size=int(rng.integers(4, 16)), p=weights / weights.sum())
+    body = [pool[k] for k in picks] * int(rng.integers(1, 5))
+    c = Circuit(n, [("c", 2)])
+    c.instructions.extend(body if shared else [oracles.fresh_copy(i) for i in body])
+
+    current = c
+    for fn in (merge_1q, absorb_1q, normalize_2q_order, fuse_2q):
+        got = fn(current)
+        _assert_same_circuit(got, getattr(oracles, fn.__name__)(current))
+        current = got
+    # absorb_1q also meets consecutive unmerged 1q gates when run first
+    _assert_same_circuit(absorb_1q(c), oracles.absorb_1q(c))
+    got, stats = fuse_pipeline(c)
+    want, want_stats = oracles.fuse_pipeline(c)
+    _assert_same_circuit(got, want)
+    assert stats == want_stats
+
+
+def test_absorb_repeats_sweeps_while_needed(monkeypatch):
+    c = Circuit(2)
+    c.h(0)
+    c.x(0)  # two unmerged 1q gates before the CX take two sweeps
+    c.cx(0, 1)
+    sweeps = _count_calls(monkeypatch, fusion, "_absorb_sweep")
+    _assert_same_circuit(absorb_1q(c), oracles.absorb_1q(c))
+    assert len(sweeps) == 2
+
+
+# ---------------------------------------------------------------------------
+# work done per distinct instruction, counted
+
+
+def test_fresh_products_do_not_grow_with_trotter_count(monkeypatch):
+    memos = []
+
+    class Recorded(fusion._Memo):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    monkeypatch.setattr(fusion, "_Memo", Recorded)
+    counts = []
+    for trotter in (2, 50):
+        memos.clear()
+        fuse_pipeline(oracles.chain_filter_circuit(7, 6, trotter))
+        assert len(memos) == 4  # one per pass call
+        # every memo entry is one matrix computed afresh
+        counts.append([(len(m._product), len(m._lift), len(m._swapped)) for m in memos])
+    assert counts[0] == counts[1]
+    assert sum(p for p, _, _ in counts[0]) > 0
+
+
+def test_absorb_sweeps_once_on_merged_filter_circuit(monkeypatch):
+    merged = merge_1q(oracles.chain_filter_circuit(3, 2, 4))
+    sweeps = _count_calls(monkeypatch, fusion, "_absorb_sweep")
+    _assert_same_circuit(absorb_1q(merged), oracles.absorb_1q(merged))
+    assert len(sweeps) == 1
+
+
+def test_pipeline_payloads_are_read_only():
+    c = oracles.chain_filter_circuit(3, 2, 4)
+    out, _ = fuse_pipeline(c)
+    payloads = [i.matrix for i in out.instructions if i.matrix is not None]
+    assert payloads and not any(m.flags.writeable for m in payloads)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nucsim.gates import QASM_NAMES, Gate, gate_matrix
+from nucsim.gates import _N_PARAMS, _N_QUBITS, QASM_NAMES, Gate, gate_matrix
 
 ANGLES = st.floats(min_value=-2 * np.pi, max_value=2 * np.pi,
                    allow_nan=False, allow_infinity=False)
@@ -197,3 +197,10 @@ def test_qasm_name_table_round_trips():
         assert gate.value == name
     assert Gate.C1 not in QASM_NAMES.values()
     assert Gate.MEASURE not in QASM_NAMES.values()
+
+
+def test_member_arities_match_the_tables():
+    for g in Gate:
+        assert g.n_qubits == _N_QUBITS[g]
+        assert g.n_params == _N_PARAMS[g]
+        assert "n_qubits" in vars(g) and "n_params" in vars(g)

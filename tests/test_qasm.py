@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nucsim import Circuit, parse_qasm, emit_qasm, qasm
+from nucsim import Circuit, fuse_pipeline, parse_qasm, emit_qasm, qasm
 from nucsim.errors import QasmError
 from nucsim.gates import QASM_NAMES, Gate
 
@@ -350,3 +350,21 @@ def test_fast_path_shares_one_instruction_per_distinct_line():
     parsed = qasm._parse_emitted(emit_qasm(c))
     assert len({id(i) for i in parsed.instructions}) == 3
     assert_same_circuit(parsed, c)
+
+
+@pytest.mark.parametrize("decompose", [False, True])
+def test_emit_once_per_distinct_instruction_matches_per_line(decompose, monkeypatch):
+    c = oracles.chain_filter_circuit(3, 2, 8)
+    if decompose:
+        c, _ = fuse_pipeline(c)
+    # every line formatted on its own: each instruction and payload a new object
+    fresh = c.copy_empty()
+    fresh.instructions = [oracles.fresh_copy(i) for i in c.instructions]
+    want = emit_qasm(fresh, decompose=decompose)
+    ladders = []
+    decompose_c2 = qasm.decompose_c2
+    monkeypatch.setattr(qasm, "decompose_c2",
+                        lambda u, a, b: ladders.append(u) or decompose_c2(u, a, b))
+    assert len({id(i) for i in c.instructions}) < len(c.instructions)  # repeats to reuse
+    assert emit_qasm(c, decompose=decompose) == want
+    assert len(ladders) == len({id(i.matrix) for i in c.instructions if i.gate is Gate.C2})
