@@ -4,7 +4,7 @@ The circuit below is the smallest interesting shape this package targets:
 one system qubit entangled with an ancilla, a mid-circuit measurement that
 asserts the ancilla landed in |0>, a reset, and a final read-out of both
 qubits.  We run it once in mma mode (one pass, forced projections, exact
-success bookkeeping) and once in rejection mode (shot-by-shot restarts,
+success bookkeeping) and once in rejection mode (drawn outcomes per shot,
 like hardware post-selection) and show that the two agree.
 """
 

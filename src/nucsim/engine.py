@@ -22,14 +22,21 @@ Two execution modes:
                records its probability, projects and renormalizes; the
                trailing measurement block is replaced by sampling the final
                state ``shots`` times.
-``rejection``  re-runs the whole circuit per shot with randomly drawn
-               mid-circuit outcomes; a shot with any nonzero outcome is
-               rejected, accepted shots contribute one sample each.
+``rejection``  draws every mid-circuit outcome per shot; a shot with a
+               nonzero measure outcome is rejected, accepted shots
+               contribute one sample each.  A shot's state at a measure or
+               reset depends only on the outcomes drawn before it, so one
+               run memoizes the outcome tree by prefix (P(0) per visited
+               prefix, the sampling CDF of the latest accepted one) and
+               computes each new prefix once, with one cursor state.  It
+               costs about one mma pass plus the per-shot draws.
 
 Randomness comes from numpy's Philox bit generator (a documented 64-bit
 counter-based generator with splittable seeding), so identical seeds give
 identical reports; sampling inverts cumulative probabilities with a binary
-search.
+search.  A rejection shot draws as if it ran the plan alone: one
+``random()`` per measure or reset in circuit order, then one
+``random(1)`` for its sample.
 """
 
 from __future__ import annotations
@@ -300,6 +307,28 @@ def bitstring(index: int, n_qubits: int) -> str:
     return format(index, f"0{n_qubits}b")[::-1]
 
 
+def _cdf(state: StateVector) -> np.ndarray:
+    """Cumulative basis-state probabilities, the table _draw inverts."""
+    return np.cumsum(state.amps.real ** 2 + state.amps.imag ** 2)
+
+
+def _draw(cum: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Basis indices of shots draws from a cumulative table: one
+    rng.random(shots) call, then a binary search per draw."""
+    draws = rng.random(shots) * cum[-1]
+    idx = np.searchsorted(cum, draws, side="right")
+    np.clip(idx, 0, len(cum) - 1, out=idx)
+    return idx
+
+
+def _tally(idx: np.ndarray, n_qubits: int) -> dict[str, int]:
+    """Drawn basis indices as bitstring counts, in index order."""
+    # bincount, not np.unique: the first sort of a few hundred draws adds
+    # about 0.5 MB to a process's peak RSS, as much as a 15-qubit state
+    counts = np.bincount(idx)
+    return {bitstring(int(v), n_qubits): int(counts[v]) for v in np.flatnonzero(counts)}
+
+
 def sample(state: StateVector, shots: int, seed) -> dict[str, int]:
     """Draw shots basis states by cumulative-probability inversion (binary
     search); deterministic for a given seed."""
@@ -308,14 +337,7 @@ def sample(state: StateVector, shots: int, seed) -> dict[str, int]:
     rng = _as_rng(seed)
     if shots == 0:
         return {}
-    probs = state.amps.real ** 2 + state.amps.imag ** 2
-    cum = np.cumsum(probs)
-    draws = rng.random(shots) * cum[-1]
-    idx = np.searchsorted(cum, draws, side="right")
-    np.clip(idx, 0, len(cum) - 1, out=idx)
-    values, counts = np.unique(idx, return_counts=True)
-    n = state.n_qubits
-    return {bitstring(int(v), n): int(c) for v, c in zip(values, counts)}
+    return _tally(_draw(_cdf(state), shots, rng), state.n_qubits)
 
 
 def expectation_pauli(state: StateVector, h: PauliHamiltonian) -> float:
@@ -513,6 +535,89 @@ def _execute_mma(state: StateVector, plan) -> list[float]:
     return assert_probs
 
 
+def _execute_rejection(state: StateVector, plan, n_steps: int, shots: int,
+                       rng: np.random.Generator, keep: bool):
+    """Run shots of a compiled plan, drawing each mid-circuit outcome.
+
+    A shot's state at a measure or reset point depends only on the outcomes
+    drawn before it, its prefix, so the outcome tree is memoized for this
+    call: P(0) at the next point of every visited prefix, and the sampling
+    CDF of the latest accepted prefix, one state-sized table at a time.  A
+    shot draws one rng.random() per point and rng.random(1) for its sample,
+    looking the rest up.  One cursor state computes each new prefix, one
+    segment on from its parent when the cursor sits there, otherwise by a
+    replay from |0...0>, so no shot costs more than one plan pass.
+
+    Returns (accepted, samples, step_rejections, kept), where kept is a copy
+    of the state at the first accepted shot when keep is set, else None.
+    """
+    # the plan cut at its points, (qubit, step) with step None for a reset;
+    # segments[i] holds the kernels before point i, the last those after all
+    points: list[tuple[int, int | None]] = []
+    segments: list[list] = [[]]
+    for op, args in plan:
+        if op is _OP_MEASURE or op is _OP_RESET:
+            points.append((args[0], args[1] if op is _OP_MEASURE else None))
+            segments.append([])
+        else:
+            segments[-1].append((op, args))
+
+    p0s: dict[tuple[int, ...], float] = {}
+    leaf: tuple | None = None             # (accepted prefix, its CDF)
+    at: tuple[int, ...] | None = None    # the prefix the cursor state sits at
+
+    def seek(prefix: tuple[int, ...]) -> None:
+        nonlocal at
+        if prefix and prefix[:-1] == at:
+            start = len(at)
+        else:
+            start = 0
+            state.restart()
+            for op, args in segments[0]:
+                op(state, *args)
+        for i in range(start, len(prefix)):
+            q = points[i][0]
+            if prefix[i] == 0:
+                _project(state.amps, q, 0, p0s[prefix[:i]])
+            else:  # a reset found |1>
+                # measured, not 1 - p0, which cancels when P(1) is tiny
+                _project(state.amps, q, 1, _branch_probability(state.amps, q, 1))
+                _kernel_block(state, _X, *_block_layout((q,)))
+            for op, args in segments[i + 1]:
+                op(state, *args)
+        at = prefix
+
+    step_rejections = [0] * n_steps
+    drawn = np.empty(shots, dtype=np.intp)
+    accepted = 0
+    kept: np.ndarray | None = None
+    for _ in range(shots):
+        prefix: tuple[int, ...] = ()
+        for q, step in points:
+            p0 = p0s.get(prefix)
+            if p0 is None:
+                seek(prefix)
+                p0 = p0s[prefix] = _branch_probability(state.amps, q, 0)
+            if rng.random() < p0:
+                prefix += (0,)
+            elif step is None:
+                prefix += (1,)
+            else:
+                # later outcomes cannot change rejection; stop early
+                step_rejections[step] += 1
+                break
+        else:
+            if leaf is None or leaf[0] != prefix:
+                leaf = None  # drop the old table before building the new one
+                seek(prefix)
+                leaf = (prefix, _cdf(state))
+                if keep and kept is None:
+                    kept = state.amps.copy()
+            drawn[accepted] = _draw(leaf[1], 1, rng)[0]
+            accepted += 1
+    return accepted, _tally(drawn[:accepted], state.n_qubits), step_rejections, kept
+
+
 def run(circuit: Circuit, mode: str, shots: int, seed: int, ancilla: int | None,
         hamiltonian: PauliHamiltonian | None = None,
         fusion_stats: dict | None = None) -> RunReport:
@@ -520,7 +625,13 @@ def run(circuit: Circuit, mode: str, shots: int, seed: int, ancilla: int | None,
 
     ``ancilla`` names the qubit every mid-circuit measurement must assert in
     mma mode; rejection mode ignores it.  ``hamiltonian``, if given, is
-    measured on the pre-sampling state and reported as ``energy``.
+    measured on the pre-sampling state and reported as ``energy``; in
+    rejection mode that is the state of the first accepted shot.
+
+    Rejection mode memoizes the outcome tree for this call only (see
+    ``_execute_rejection``): each distinct outcome prefix is computed once,
+    and the report equals that of restarting the plan from |0...0> for every
+    shot, drawing from the generator in the same order.
     """
     if mode not in ("mma", "rejection"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -541,48 +652,15 @@ def run(circuit: Circuit, mode: str, shots: int, seed: int, ancilla: int | None,
             overall_success=success_product(assert_probs), samples=samples,
             energy=energy, fusion_stats=fusion_stats)
     else:
-        counts: dict[str, int] = {}
-        step_rejections = [0] * n_steps
-        accepted = 0
-        kept: np.ndarray | None = None
-        for _ in range(shots):
-            state.restart()
-            ok = True
-            for op, args in plan:
-                if op is _OP_MEASURE:
-                    q, step = args
-                    p0 = _branch_probability(state.amps, q, 0)
-                    outcome = 0 if rng.random() < p0 else 1
-                    if outcome == 1:
-                        # later outcomes cannot change rejection; stop early
-                        step_rejections[step] += 1
-                        ok = False
-                        break
-                    _project(state.amps, q, 0, p0)
-                elif op is _OP_RESET:
-                    q = args[0]
-                    p0 = _branch_probability(state.amps, q, 0)
-                    if rng.random() < p0:
-                        _project(state.amps, q, 0, p0)
-                    else:
-                        # measured, not 1 - p0, which cancels when P(1) is tiny
-                        _project(state.amps, q, 1, _branch_probability(state.amps, q, 1))
-                        _kernel_block(state, _X, *_block_layout((q,)))
-                else:
-                    op(state, *args)
-            if ok:
-                accepted += 1
-                for key, cnt in sample(state, 1, rng).items():
-                    counts[key] = counts.get(key, 0) + cnt
-                if kept is None and hamiltonian is not None:
-                    kept = state.amps.copy()
+        accepted, samples, step_rejections, kept = _execute_rejection(
+            state, plan, n_steps, shots, rng, hamiltonian is not None)
         energy = None
         if kept is not None:
             energy = expectation_pauli(StateVector.from_amplitudes(kept), hamiltonian)
         report = RunReport(
             mode=mode, n_qubits=circuit.n_qubits, shots=shots, seed=seed,
             ancilla=ancilla, assert_probs=[],
-            overall_success=accepted / shots, samples=counts, energy=energy,
+            overall_success=accepted / shots, samples=samples, energy=energy,
             fusion_stats=fusion_stats, accepted=accepted,
             rejected=shots - accepted, step_rejections=step_rejections)
 

@@ -322,9 +322,10 @@ def fuse_pipeline(circuit: Circuit) -> tuple[Circuit, FusionStats]:
     stats = []
     current = circuit
     for name, fn in passes:
-        # each circuit is counted once: a pass starts from its predecessor's count
-        current = fn(current)
-        after = gate_count(current)
+        # a pass adds no instruction and drops only gates it folds into
+        # another, so only the input is counted
+        out = fn(current)
+        after = count - (len(current.instructions) - len(out.instructions))
         stats.append(PassStats(name, count, after))
-        count = after
+        current, count = out, after
     return current, FusionStats(before, count, tuple(stats))

@@ -8,15 +8,19 @@ only used at small qubit counts.  The exceptions are the three kernels
 below, einsum_1q, einsum_2q and moveaxis_kq: the engine's former
 formulations, kept as the reference for its gather-multiply-scatter kernels
 and block plans at widths where dense lifting is too slow to fuzz; and the
-four fusion passes at the end, merge_1q, absorb_1q, normalize_2q_order and
-fuse_2q with their fuse_pipeline: the former per-gate passes, which compute
-every product afresh, kept as the bit-exact reference for the memoized ones.
+four fusion passes, merge_1q, absorb_1q, normalize_2q_order and fuse_2q
+with their fuse_pipeline: the former per-gate passes, which compute every
+product afresh, kept as the bit-exact reference for the memoized ones; and
+rejection_per_shot at the end: the engine's former rejection loop, which
+runs the whole plan from |0...0> for every shot, kept as the bit-exact
+reference for the outcome-prefix memo.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from nucsim import engine
 from nucsim.circuit import Circuit, Instruction
 from nucsim.fusion import FusionStats, PassStats, gate_count
 from nucsim.gates import Gate, gate_matrix, swap_conjugate
@@ -422,3 +426,58 @@ def fuse_pipeline(circuit: Circuit) -> tuple[Circuit, FusionStats]:
         stats.append(PassStats(name, count, after))
         count = after
     return current, FusionStats(before, count, tuple(stats))
+
+
+# ---------------------------------------------------------------------------
+# per-shot rejection: the whole plan from |0...0> for every shot
+
+
+def rejection_per_shot(circuit: Circuit, shots: int, seed: int,
+                       hamiltonian: PauliHamiltonian | None = None) -> engine.RunReport:
+    """run(circuit, "rejection", shots, seed, None, hamiltonian) by the
+    engine's former loop: each shot restarts, runs every plan entry up to
+    its first rejection and draws from the generator in the same order."""
+    rng = engine._as_rng(seed)
+    plan, n_steps = engine._compile(circuit, "rejection", None)
+    state = engine.StateVector(circuit.n_qubits)
+    counts: dict[str, int] = {}
+    step_rejections = [0] * n_steps
+    accepted = 0
+    kept: np.ndarray | None = None
+    for _ in range(shots):
+        state.restart()
+        ok = True
+        for op, args in plan:
+            if op is engine._OP_MEASURE:
+                q, step = args
+                p0 = engine._branch_probability(state.amps, q, 0)
+                outcome = 0 if rng.random() < p0 else 1
+                if outcome == 1:
+                    step_rejections[step] += 1
+                    ok = False
+                    break
+                engine._project(state.amps, q, 0, p0)
+            elif op is engine._OP_RESET:
+                q = args[0]
+                p0 = engine._branch_probability(state.amps, q, 0)
+                if rng.random() < p0:
+                    engine._project(state.amps, q, 0, p0)
+                else:
+                    engine._project(state.amps, q, 1, engine._branch_probability(state.amps, q, 1))
+                    engine._kernel_block(state, engine._X, *engine._block_layout((q,)))
+            else:
+                op(state, *args)
+        if ok:
+            accepted += 1
+            for key, cnt in engine.sample(state, 1, rng).items():
+                counts[key] = counts.get(key, 0) + cnt
+            if kept is None and hamiltonian is not None:
+                kept = state.amps.copy()
+    energy = None
+    if kept is not None:
+        energy = engine.expectation_pauli(engine.StateVector.from_amplitudes(kept), hamiltonian)
+    return engine.RunReport(
+        mode="rejection", n_qubits=circuit.n_qubits, shots=shots, seed=seed,
+        ancilla=None, assert_probs=[], overall_success=accepted / shots,
+        samples=counts, energy=energy, accepted=accepted,
+        rejected=shots - accepted, step_rejections=step_rejections)

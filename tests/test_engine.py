@@ -825,6 +825,134 @@ def test_rejection_reset_renormalizes_a_tiny_branch(monkeypatch):
     assert abs(report.energy - 1.0) <= 1e-9
 
 
+# ---------------------------------------------------------------------------
+# rejection mode: the outcome-prefix memo against the per-shot loop
+
+
+def without_wall_time(report) -> dict:
+    d = report.to_dict()
+    d.pop("wall_time_s")
+    return d
+
+
+def rejection_circuit(rng, n: int, layout: list[str]) -> Circuit:
+    """Random gates around mid-circuit points on ancilla n - 1: "filter" is
+    a rotation, measure and reset of it, "reset" resets a superposed
+    non-ancilla qubit (so its draw can go either way), "dead" measures a
+    forced |1>, which rejects every shot that gets there."""
+    c = Circuit(n, [("c", max(1, len(layout))), ("r", n)])
+    anc = n - 1
+    for i, kind in enumerate(layout):
+        oracles.random_gates(rng, c, int(rng.integers(0, 6)))
+        if kind == "reset":
+            q = int(rng.integers(max(1, n - 1)))
+            c.ry(float(rng.uniform(0.5, 2.6)), q)
+            c.reset(q)
+            continue
+        if kind == "dead":
+            c.reset(anc)
+            c.x(anc)
+        else:
+            c.ry(float(rng.uniform(0.3, 1.2)), anc)  # rejects some shots
+        c.measure(anc, i)
+        c.reset(anc)
+    oracles.random_gates(rng, c, 4)
+    for q in range(n):
+        c.measure(q, c.clbit_index("r", q))
+    return c
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8),
+       layout=st.lists(st.sampled_from(["filter", "reset"]), max_size=5),
+       dead=st.booleans(), shots=st.integers(1, 80), energy=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_rejection_matches_per_shot_loop(seed, n, layout, dead, shots, energy):
+    # an empty layout has no mid-circuit point; a dead end rejects every shot
+    rng = np.random.default_rng(seed)
+    circ = rejection_circuit(rng, n, layout + ["dead"] * dead)
+    h = None
+    if energy:
+        h = PauliHamiltonian(n, {"".join(rng.choice(list("IXYZ"), n)): 0.6, "Z" * n: -0.3})
+    got = run(circ, "rejection", shots, seed % 1000, None, hamiltonian=h)
+    want = oracles.rejection_per_shot(circ, shots, seed % 1000, h)
+    assert without_wall_time(got) == without_wall_time(want)
+
+
+def count_kernel_calls(monkeypatch, n_qubits: int) -> list:
+    """Record every _kernel_block call on an n_qubits state.  _compile
+    builds block matrices on 2k-qubit states, so an odd width counts only
+    plan work."""
+    calls = []
+    real = engine._kernel_block
+
+    def counted(state, *args):
+        if state.n_qubits == n_qubits:
+            calls.append(None)
+        real(state, *args)
+
+    monkeypatch.setattr(engine, "_kernel_block", counted)
+    return calls
+
+
+def test_rejection_runs_each_plan_entry_once_on_a_filter_circuit(monkeypatch):
+    circ, _ = fuse_pipeline(oracles.chain_filter_circuit(4, 3, 4))  # 5 qubits
+    calls = count_kernel_calls(monkeypatch, 5)
+    report = run(circ, "rejection", 256, 21, None)
+    memo_calls = len(calls)
+    plan, _ = engine._compile(circ, "rejection", None)
+    kernels = sum(1 for op, _ in plan if callable(op))
+    # every ancilla reset follows a |0> outcome, so the outcome tree is one
+    # path: each plan entry runs once, not once per shot
+    assert 0 < report.accepted < 256
+    assert memo_calls == kernels
+    calls.clear()
+    oracles.rejection_per_shot(circ, 256, 21)
+    assert len(calls) > 100 * memo_calls
+
+
+def test_rejection_work_with_branching_resets_is_at_most_per_shot(monkeypatch):
+    rng = np.random.default_rng(5)
+    circ = rejection_circuit(rng, 5, ["reset", "filter", "reset", "reset",
+                                      "filter", "reset", "reset", "reset"])
+    calls = count_kernel_calls(monkeypatch, 5)
+    report = run(circ, "rejection", 300, 4, None)
+    memo_calls = len(calls)
+    calls.clear()
+    want = oracles.rejection_per_shot(circ, 300, 4)
+    assert without_wall_time(report) == without_wall_time(want)
+    assert 0 < report.accepted < 300 and len(report.samples) > 4
+    assert 0 < memo_calls <= len(calls)
+
+
+def test_rejection_memo_holds_no_states_and_one_cdf(monkeypatch):
+    # six 50/50 resets: up to 64 accepted prefixes, each with its own CDF
+    n, amps = 16, 1 << 16
+    c = Circuit(n, [("r", n)])
+    for q in range(6):
+        c.h(q)
+        c.cx(q, q + 6)
+        c.reset(q)
+    for q in range(n):
+        c.measure(q, q)
+    cdfs = []
+    real = engine._cdf
+    monkeypatch.setattr(engine, "_cdf", lambda state: cdfs.append(None) or real(state))
+    run(c, "rejection", 2, 0, None)  # warm up: cached block layouts
+    cdfs.clear()
+    tracemalloc.start()
+    try:
+        report = run(c, "rejection", 128, 3, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.accepted == 128 and len(cdfs) > 32
+    # state and scratch (16 B per amplitude each) and 16 B for the CDF being
+    # built (one 8 B squared-modulus temporary and the table), plus 4 B of
+    # slack: keeping the previous CDF while building the next, or any
+    # per-prefix state, adds at least 8 B per amplitude
+    assert peak < (2 * 16 + 16 + 4) * amps
+
+
 def test_run_rejects_bad_arguments():
     circ = two_step_circuit()
     with pytest.raises(ValueError):

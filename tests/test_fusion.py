@@ -254,7 +254,7 @@ def test_pipeline_counts_each_circuit_once(monkeypatch):
     monkeypatch.setattr(fusion, "gate_count",
                         lambda circuit: scanned.append(circuit) or circuit.gate_count())
     _, stats = fuse_pipeline(c)
-    assert len(scanned) == 5  # the input and each pass's output
+    assert len(scanned) == 1  # the input only: the passes drop only gates
     assert [(p.name, p.gates_before, p.gates_after) for p in stats.per_pass] == want
     assert (stats.gates_before, stats.gates_after) == (want[0][1], want[-1][2])
 
@@ -403,6 +403,25 @@ def test_passes_match_per_gate_reference(seed, shared):
     want, want_stats = oracles.fuse_pipeline(c)
     _assert_same_circuit(got, want)
     assert stats == want_stats
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_passes_drop_only_the_gates_they_fold(seed):
+    """fuse_pipeline counts only its input: across each pass the drop in
+    instruction count must be the drop in gate_count."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 6))
+    pool = _payload_pool(rng, n)
+    picks = rng.choice(len(pool), size=int(rng.integers(0, 40)))
+    c = Circuit(n, [("c", 2)])
+    c.instructions.extend(pool[k] for k in picks)
+    current = c
+    for fn in (merge_1q, absorb_1q, normalize_2q_order, fuse_2q):
+        out = fn(current)
+        dropped = len(current.instructions) - len(out.instructions)
+        assert dropped == gate_count(current) - gate_count(out) >= 0
+        current = out
 
 
 def test_absorb_repeats_sweeps_while_needed(monkeypatch):
