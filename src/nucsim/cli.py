@@ -9,9 +9,9 @@ Subcommands:
 - ``filter-lcu``  Hamiltonian in, truncated-expansion filter report out
 
 Exit codes: 0 success, 2 parse or configuration error, 3 assertion failure,
-4 resource guard.  ``--threads`` (default from NUCSIM_THREADS) is accepted
-for scheduling but never changes any reported number except wall time, so
-reports are bitwise reproducible for a fixed seed.
+4 resource guard.  ``--threads`` (default from NUCSIM_THREADS) is validated
+but does not yet change how a run is scheduled, so it changes no reported
+number; reports are bitwise reproducible for a fixed seed.
 """
 
 from __future__ import annotations

@@ -160,38 +160,47 @@ class _Memo:
         return out
 
 
+def _collapse_runs(circuit: Circuit, arity: int) -> Circuit:
+    """Collapse each run of adjacent gates of `arity` (1 or 2) on the same
+    operands, in the same order, into one C1 or C2; lone gates as well."""
+    memo = _Memo()
+    out = circuit.copy_empty()
+    dest = out.instructions
+    # qubit -> [operands, slot in dest, accumulated matrix] of the pending
+    # run on it; pending runs never share a qubit
+    pending: dict[int, list] = {}
+    for ins in circuit.instructions:
+        operands = ins.qubits
+        if ins.is_gate and len(operands) == arity:
+            run = pending.get(operands[0])
+            if run is not None and run[0] == operands:
+                run[2] = memo.product(memo.matrix(ins), run[2])
+                continue
+            run = [operands, len(dest), memo.matrix(ins)]
+        else:
+            run = None
+        for q in operands:  # close the runs this instruction touches
+            held = pending.pop(q, None)
+            if held is not None:
+                dest[held[1]] = memo.payload(held[0], held[2])
+                for p in held[0]:
+                    pending.pop(p, None)
+        dest.append(ins)
+        if run is not None:
+            for q in operands:
+                pending[q] = run
+    for run in pending.values():  # a pair's run is listed twice; the memo gives one payload
+        dest[run[1]] = memo.payload(run[0], run[2])
+    return out
+
+
 def merge_1q(circuit: Circuit) -> Circuit:
     """Collapse runs of adjacent single-qubit gates into one C1 each.
 
     Lone single-qubit gates also become C1, so downstream passes and the
     pipeline contract see a uniform payload representation.
     """
-    memo = _Memo()
-    out = circuit.copy_empty()
-    dest = out.instructions
-    # qubit -> [slot in dest, accumulated matrix]
-    pending: dict[int, list] = {}
-
-    def flush(q: int) -> None:
-        run = pending.pop(q, None)
-        if run is not None:
-            dest[run[0]] = memo.payload((q,), run[1])
-
-    for ins in circuit.instructions:
-        if ins.is_gate and len(ins.qubits) == 1:
-            q = ins.qubits[0]
-            run = pending.get(q)
-            if run is None:
-                pending[q] = [_push(out, ins), memo.matrix(ins)]
-            else:
-                run[1] = memo.product(memo.matrix(ins), run[1])
-        else:
-            for q in ins.qubits:
-                flush(q)
-            _push(out, ins)
-    for q in list(pending):
-        flush(q)
-    return out
+    return _collapse_runs(circuit, 1)
 
 
 def absorb_1q(circuit: Circuit) -> Circuit:
@@ -277,41 +286,7 @@ def fuse_2q(circuit: Circuit) -> Circuit:
     Lone two-qubit gates become C2 as well, completing the pipeline's
     payload-only output contract.
     """
-    memo = _Memo()
-    out = circuit.copy_empty()
-    dest = out.instructions
-    # ordered pair -> [slot in dest, accumulated matrix]
-    pending: dict[tuple[int, int], list] = {}
-    # qubit -> the pending pair on it; pending pairs never share a qubit
-    owner: dict[int, tuple[int, int]] = {}
-
-    def flush(pair: tuple[int, int]) -> None:
-        run = pending.pop(pair)
-        dest[run[0]] = memo.payload(pair, run[1])
-        del owner[pair[0]], owner[pair[1]]
-
-    def flush_touching(qubits: tuple[int, ...], keep: tuple[int, int] | None = None) -> None:
-        for q in qubits:
-            pair = owner.get(q)
-            if pair is not None and pair != keep:
-                flush(pair)
-
-    for ins in circuit.instructions:
-        if ins.is_gate and len(ins.qubits) == 2:
-            pair = ins.qubits
-            flush_touching(pair, keep=pair)
-            run = pending.get(pair)
-            if run is None:
-                pending[pair] = [_push(out, ins), memo.matrix(ins)]
-                owner[pair[0]] = owner[pair[1]] = pair
-            else:
-                run[1] = memo.product(memo.matrix(ins), run[1])
-        else:
-            flush_touching(ins.qubits)
-            _push(out, ins)
-    for pair in list(pending):
-        flush(pair)
-    return out
+    return _collapse_runs(circuit, 2)
 
 
 def fuse_pipeline(circuit: Circuit) -> tuple[Circuit, FusionStats]:

@@ -70,11 +70,11 @@ class Gate(Enum):
     RESET = "reset"
     BARRIER = "barrier"
 
-    # plain member attributes, not properties: fusion, Circuit.append and the
-    # QASM fast path ask them per instruction, and an enum property that looks
-    # a member up in a dict hashes it through the Python-level Enum.__hash__,
-    # about 1 us on CPython 3.11.  n_qubits and n_params are set below from
-    # the _N_QUBITS and _N_PARAMS tables.
+    # plain member attributes, not properties: fusion and Circuit.append ask
+    # them per instruction, and an enum property that looks a member up in a
+    # dict hashes it through the Python-level Enum.__hash__, about 1 us on
+    # CPython 3.11.  n_qubits and n_params are set below from the _N_QUBITS
+    # and _N_PARAMS tables.
     is_unitary: bool
     n_qubits: int
     n_params: int

@@ -9,13 +9,14 @@ at parse time.  User ``gate`` blocks, ``if``, and ``opaque`` are rejected.
 The quantum and classical registers share one namespace.  Errors carry a
 line and column.
 
-Text in exactly the form the emitter writes (its header, ``qreg q[n];``,
-``creg`` lines, then one statement per line with single spaces, numeric
-angles and no comments) is read line by line: each distinct line is
-matched and checked once, as Circuit.append checks it, and repeated lines
-share one frozen instruction.  At the first line in any other form the
-token parser parses the whole text again, so it is the only source of
-errors and the only path for hand-written QASM.
+The parser tokenizes one line at a time, as it reaches the line; an
+unexpected character anywhere in the text is still the first error.  A line
+that held exactly one gate, measure, reset or barrier statement is parsed
+once per parse call: a repeat of it appends the same (frozen) instructions
+again without tokenizing it.  A statement depends only on the one qreg,
+fixed once declared, and on the cregs, which only grow, so a repeated line
+parses the same and cannot fail.  Parsing therefore costs per distinct line,
+not per gate, on the deep circuits whose evolution block repeats.
 
 The emitter writes one instruction per line with angles at 17 significant
 digits, so parse(emit(parse(text))) reproduces parse(text) exactly.  It
@@ -44,7 +45,6 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<WS>[ \t\r]+)
   | (?P<COMMENT>//[^\n]*)
-  | (?P<NL>\n)
   | (?P<REAL>(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
   | (?P<INT>\d+)
   | (?P<ID>[A-Za-z_][A-Za-z0-9_]*)
@@ -66,43 +66,50 @@ class _Token:
         self.col = col
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str, line: int) -> list[_Token]:
+    """The tokens of one line (no newline in `text`), numbered `line`."""
     tokens = []
-    line, line_start = 1, 0
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise QasmError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        kind = m.lastgroup
-        if kind == "NL":
-            line += 1
-            line_start = m.end()
-        elif kind not in ("WS", "COMMENT"):
-            tokens.append(_Token(kind, m.group(), line, pos - line_start + 1))
+            raise QasmError(f"unexpected character {text[pos]!r}", line, pos + 1)
+        if m.lastgroup not in ("WS", "COMMENT"):
+            tokens.append(_Token(m.lastgroup, m.group(), line, pos + 1))
         pos = m.end()
-    tokens.append(_Token("EOF", "", line, pos - line_start + 1))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        lines = text.split("\n")
+        self.eof = _Token("EOF", "", len(lines), len(lines[-1]) + 1)
+        self.lines = enumerate(lines, 1)  # (number, text) of the lines not yet read
+        self.tokens: list[_Token] = []  # the tokens of the last line read
         self.pos = 0
         self.circuit: Circuit | None = None
         self.qreg: tuple[str, int] | None = None
         self.pre_cregs: list[tuple[str, int]] = []
 
     def _peek(self) -> _Token:
+        while self.pos >= len(self.tokens):
+            entry = next(self.lines, None)
+            if entry is None:
+                return self.eof
+            number, text = entry
+            self.tokens, self.pos = _tokenize(text, number), 0
         return self.tokens[self.pos]
 
     def _next(self) -> _Token:
-        tok = self.tokens[self.pos]
+        tok = self._peek()
         self.pos += 1
         return tok
 
     def _error(self, message: str, tok: _Token | None = None):
         tok = tok or self._peek()
+        # an unexpected character anywhere in the text is the first error
+        for number, text in self.lines:
+            _tokenize(text, number)
         raise QasmError(message, tok.line, tok.col)
 
     def _expect(self, kind: str, text: str | None = None) -> _Token:
@@ -192,11 +199,33 @@ class _Parser:
             if inc.text != '"qelib1.inc"':
                 self._error(f"only qelib1.inc can be included, found {inc.text}", inc)
             self._expect("SYM", ";")
-        while self._peek().kind != "EOF":
-            self._statement()
+        self._statements()
         if self.circuit is None:
             self._error("no quantum register declared")
         return self.circuit
+
+    def _statements(self) -> None:
+        """Parse to the end of the text.  A line that held exactly one gate,
+        measure, reset or barrier statement maps to the instructions it
+        appended, and a repeat of the line appends those same objects."""
+        seen: dict[str, list[Instruction]] = {}
+        while self.pos < len(self.tokens):  # statements on the header's last line
+            self._statement()
+        for number, text in self.lines:  # the iterator _peek reads lines from too
+            hit = seen.get(text)
+            if hit is not None:
+                self.circuit.instructions.extend(hit)
+                continue
+            tokens = self.tokens = _tokenize(text, number)
+            self.pos = 0
+            if tokens and tokens[0].text not in ("qreg", "creg") and self.circuit is not None:
+                before = len(self.circuit.instructions)
+                self._statement()
+                # the statement read no further line and filled this one
+                if self.tokens is tokens and self.pos == len(tokens):
+                    seen[text] = self.circuit.instructions[before:]
+            while self.pos < len(self.tokens):  # statements after another on a line
+                self._statement()
 
     def _statement(self) -> None:
         tok = self._peek()
@@ -359,104 +388,9 @@ class _Parser:
         circuit.barrier(*seen)
 
 
-# ---------------------------------------------------------------------------
-# fast path for emitted text
-
-_EMITTED_QREG = re.compile(r"qreg q\[([0-9]+)\];")
-_EMITTED_CREG = re.compile(r"creg ([A-Za-z_][A-Za-z0-9_]*)\[([0-9]+)\];")
-# name, optional (params), operands (q[i], q[j] or the whole register q),
-# optional -> creg[k] of a measure
-_EMITTED_OP = re.compile(
-    r"([a-z][a-z0-9]*)(?:\(([^()]*)\))? (q|q\[[0-9]+\](?:, q\[[0-9]+\])*)"
-    r"(?: -> ([A-Za-z_][A-Za-z0-9_]*)\[([0-9]+)\])?;")
-# the literals the tokenizer reads as one optional '-' and a REAL or INT
-_EMITTED_NUMBER = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-
-
-def _emitted_instruction(line: str, n_qubits: int,
-                         clbits: dict[str, tuple[int, int]]) -> Instruction | None:
-    """The instruction of one emitted statement line, checked as
-    Circuit.append checks it, or None for any other line."""
-    m = _EMITTED_OP.fullmatch(line)
-    if m is None:
-        return None
-    name, params, operands, creg, cindex = m.groups()
-    if operands == "q":
-        if name != "barrier" or params is not None or creg is not None:
-            return None
-        return Instruction(Gate.BARRIER, tuple(range(n_qubits)))
-    qubits = tuple(int(k) for k in operands[2:-1].split("], q["))
-    if max(qubits) >= n_qubits or len(set(qubits)) != len(qubits):
-        return None
-    if creg is not None:
-        if name != "measure" or params is not None or len(qubits) != 1 \
-                or creg not in clbits:
-            return None
-        base, size = clbits[creg]
-        if int(cindex) >= size:
-            return None
-        return Instruction(Gate.MEASURE, qubits, cbit=base + int(cindex))
-    if name in ("reset", "barrier"):
-        if params is not None or (name == "reset" and len(qubits) != 1):
-            return None
-        return Instruction(Gate.RESET if name == "reset" else Gate.BARRIER, qubits)
-    gate = QASM_NAMES.get(name)
-    if gate is None or len(qubits) != gate.n_qubits:
-        return None
-    values: tuple[float, ...] = ()
-    if params is not None:
-        texts = params.split(",")
-        if not all(_EMITTED_NUMBER.fullmatch(t) for t in texts):
-            return None
-        values = tuple(float(t) for t in texts)
-    if len(values) != gate.n_params:
-        return None
-    return Instruction(gate, qubits, values)
-
-
-def _parse_emitted(text: str) -> Circuit | None:
-    """The circuit of text written exactly as emit_qasm writes it, or None
-    at the first line in any other form.  Identical statement lines share
-    one (frozen) instruction."""
-    lines = text.split("\n")
-    if len(lines) < 4 or lines[0] != "OPENQASM 2.0;" \
-            or lines[1] != 'include "qelib1.inc";' or lines[-1] != "":
-        return None
-    m = _EMITTED_QREG.fullmatch(lines[2])
-    if m is None or int(m[1]) < 1:
-        return None
-    n_qubits = int(m[1])
-    cregs: list[tuple[str, int]] = []
-    clbits: dict[str, tuple[int, int]] = {}  # name -> (first flat bit, size)
-    pos, base = 3, 0
-    while (m := _EMITTED_CREG.fullmatch(lines[pos])) is not None:
-        name, size = m[1], int(m[2])
-        if size < 1 or name == "q" or name in clbits:
-            return None
-        clbits[name] = (base, size)
-        cregs.append((name, size))
-        pos, base = pos + 1, base + size
-    circuit = Circuit(n_qubits, cregs)
-    instrs = circuit.instructions
-    seen: dict[str, Instruction] = {}
-    for line in lines[pos:-1]:
-        ins = seen.get(line)
-        if ins is None:
-            ins = _emitted_instruction(line, n_qubits, clbits)
-            if ins is None:
-                return None
-            seen[line] = ins
-        instrs.append(ins)
-    return circuit
-
-
 def parse_qasm(text: str) -> Circuit:
-    """Parse OpenQASM 2.0 text into a Circuit.
-
-    Text in exactly the form emit_qasm writes takes a line-by-line fast
-    path; anything else, and every error, goes through the token parser."""
-    circuit = _parse_emitted(text)
-    return circuit if circuit is not None else _Parser(text).parse()
+    """Parse OpenQASM 2.0 text into a Circuit."""
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------

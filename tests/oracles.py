@@ -13,17 +13,24 @@ with their fuse_pipeline: the former per-gate passes, which compute every
 product afresh, kept as the bit-exact reference for the memoized ones; and
 rejection_per_shot at the end: the engine's former rejection loop, which
 runs the whole plan from |0...0> for every shot, kept as the bit-exact
-reference for the outcome-prefix memo.
+reference for the outcome-prefix memo; and the token parser after it with
+its parse_qasm: the former QASM parser, which tokenizes the whole text up
+front and parses every statement, kept as the reference for the parser that
+reads line by line and reuses each repeated statement line.
 """
 
 from __future__ import annotations
+
+import math
+import re
 
 import numpy as np
 
 from nucsim import engine
 from nucsim.circuit import Circuit, Instruction
+from nucsim.errors import QasmError
 from nucsim.fusion import FusionStats, PassStats, gate_count
-from nucsim.gates import Gate, gate_matrix, swap_conjugate
+from nucsim.gates import QASM_NAMES, Gate, gate_matrix, swap_conjugate
 from nucsim.hamiltonian import PauliHamiltonian
 from nucsim.projection import TrialState, build_filter_circuit, default_schedule
 
@@ -481,3 +488,331 @@ def rejection_per_shot(circuit: Circuit, shots: int, seed: int,
         ancilla=None, assert_probs=[], overall_success=accepted / shots,
         samples=counts, energy=energy, accepted=accepted,
         rejected=shots - accepted, step_rejections=step_rejections)
+
+
+# ---------------------------------------------------------------------------
+# token parser: the whole text tokenized up front, every statement parsed
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<WS>[ \t\r]+)
+  | (?P<COMMENT>//[^\n]*)
+  | (?P<NL>\n)
+  | (?P<REAL>(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
+  | (?P<INT>\d+)
+  | (?P<ID>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<STRING>"[^"\n]*")
+  | (?P<ARROW>->)
+  | (?P<SYM>[()\[\],;+\-*/])
+    """,
+    re.VERBOSE,
+)
+
+
+class _Token:
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens = []
+    line, line_start = 1, 0
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise QasmError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+        kind = m.lastgroup
+        if kind == "NL":
+            line += 1
+            line_start = m.end()
+        elif kind not in ("WS", "COMMENT"):
+            tokens.append(_Token(kind, m.group(), line, pos - line_start + 1))
+        pos = m.end()
+    tokens.append(_Token("EOF", "", line, pos - line_start + 1))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.circuit: Circuit | None = None
+        self.qreg: tuple[str, int] | None = None
+        self.pre_cregs: list[tuple[str, int]] = []
+
+    def _peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def _next(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def _error(self, message: str, tok: _Token | None = None):
+        tok = tok or self._peek()
+        raise QasmError(message, tok.line, tok.col)
+
+    def _expect(self, kind: str, text: str | None = None) -> _Token:
+        tok = self._next()
+        if tok.kind != kind or (text is not None and tok.text != text):
+            want = text or kind.lower()
+            self._error(f"expected {want!r}, found {tok.text or 'end of input'!r}", tok)
+        return tok
+
+    # ---- expressions -----------------------------------------------------
+
+    def _expr(self) -> float:
+        value = self._term()
+        while self._peek().text in ("+", "-"):
+            op = self._next().text
+            rhs = self._term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def _term(self) -> float:
+        value = self._unary()
+        while self._peek().text in ("*", "/"):
+            op = self._next()
+            rhs = self._unary()
+            if op.text == "*":
+                value *= rhs
+            else:
+                if rhs == 0.0:
+                    self._error("division by zero in angle expression", op)
+                value /= rhs
+        return value
+
+    def _unary(self) -> float:
+        tok = self._peek()
+        if tok.text == "-":
+            self._next()
+            return -self._unary()
+        if tok.text == "+":
+            self._next()
+            return self._unary()
+        return self._atom()
+
+    def _atom(self) -> float:
+        tok = self._next()
+        if tok.kind in ("REAL", "INT"):
+            return float(tok.text)
+        if tok.kind == "ID" and tok.text == "pi":
+            return math.pi
+        if tok.text == "(":
+            value = self._expr()
+            self._expect("SYM", ")")
+            return value
+        self._error(f"expected a number, 'pi' or '(', found {tok.text!r}", tok)
+
+    # ---- operands --------------------------------------------------------
+
+    def _reg_operand(self) -> tuple[str, int | None, _Token]:
+        """Register name with an optional [index]."""
+        name_tok = self._expect("ID")
+        index = None
+        if self._peek().text == "[":
+            self._next()
+            index = int(self._expect("INT").text)
+            self._expect("SYM", "]")
+        return name_tok.text, index, name_tok
+
+    def _qubit(self, name: str, index: int | None, tok: _Token) -> int:
+        if self.qreg is None or name != self.qreg[0]:
+            self._error(f"unknown quantum register {name!r}", tok)
+        if index is None:
+            self._error(f"gate operands must be indexed, write {name}[k]", tok)
+        if not 0 <= index < self.qreg[1]:
+            self._error(f"{name}[{index}] out of range (size {self.qreg[1]})", tok)
+        return index
+
+    # ---- statements ------------------------------------------------------
+
+    def parse(self) -> Circuit:
+        self._expect("ID", "OPENQASM")
+        version = self._expect("REAL")
+        if version.text != "2.0":
+            self._error(f"only OpenQASM 2.0 is supported, found {version.text}", version)
+        self._expect("SYM", ";")
+        if self._peek().text == "include":
+            self._next()
+            inc = self._expect("STRING")
+            if inc.text != '"qelib1.inc"':
+                self._error(f"only qelib1.inc can be included, found {inc.text}", inc)
+            self._expect("SYM", ";")
+        while self._peek().kind != "EOF":
+            self._statement()
+        if self.circuit is None:
+            self._error("no quantum register declared")
+        return self.circuit
+
+    def _statement(self) -> None:
+        tok = self._peek()
+        if tok.kind != "ID":
+            self._error(f"expected a statement, found {tok.text!r}")
+        word = tok.text
+        if word == "qreg":
+            self._parse_qreg()
+        elif word == "creg":
+            self._parse_creg()
+        elif word == "measure":
+            self._parse_measure()
+        elif word == "reset":
+            self._parse_reset()
+        elif word == "barrier":
+            self._parse_barrier()
+        elif word in QASM_NAMES:
+            self._parse_gate()
+        elif word in ("gate", "opaque"):
+            self._error("user-defined gate blocks are not supported", tok)
+        elif word == "if":
+            self._error("classical control is not supported", tok)
+        else:
+            self._error(f"unknown statement or gate {word!r}", tok)
+
+    def _parse_qreg(self) -> None:
+        tok = self._next()
+        if self.qreg is not None:
+            self._error("only one quantum register is supported", tok)
+        name, index, name_tok = self._reg_operand()
+        if index is None:
+            self._error("expected a register size", name_tok)
+        if index < 1:
+            self._error("register size must be positive", name_tok)
+        self._expect("SYM", ";")
+        if any(held == name for held, _ in self.pre_cregs):
+            self._error(f"duplicate register name {name!r}", name_tok)
+        self.qreg = (name, index)
+        self.circuit = Circuit(index, self.pre_cregs)
+
+    def _parse_creg(self) -> None:
+        self._next()
+        name, index, name_tok = self._reg_operand()
+        if index is None:
+            self._error("expected a register size", name_tok)
+        if index < 1:
+            self._error("register size must be positive", name_tok)
+        self._expect("SYM", ";")
+        if self.circuit is None:
+            # cregs may legally precede the qreg; hold them until it appears
+            if any(held == name for held, _ in self.pre_cregs):
+                self._error(f"duplicate register name {name!r}", name_tok)
+            self.pre_cregs.append((name, index))
+            return
+        if name == self.qreg[0]:
+            self._error(f"duplicate register name {name!r}", name_tok)
+        try:
+            self.circuit.add_creg(name, index)
+        except ValueError as exc:
+            self._error(str(exc), name_tok)
+
+    def _require_circuit(self, tok: _Token) -> Circuit:
+        if self.circuit is None:
+            self._error("statement before any qreg declaration", tok)
+        return self.circuit
+
+    def _parse_gate(self) -> None:
+        name_tok = self._next()
+        gate = QASM_NAMES[name_tok.text]
+        circuit = self._require_circuit(name_tok)
+        params: tuple[float, ...] = ()
+        if self._peek().text == "(":
+            self._next()
+            values = [self._expr()]
+            while self._peek().text == ",":
+                self._next()
+                values.append(self._expr())
+            self._expect("SYM", ")")
+            params = tuple(values)
+        if len(params) != gate.n_params:
+            self._error(f"{gate.value} expects {gate.n_params} parameter(s), got {len(params)}",
+                        name_tok)
+        qubits = [self._qubit(*self._reg_operand())]
+        while self._peek().text == ",":
+            self._next()
+            qubits.append(self._qubit(*self._reg_operand()))
+        self._expect("SYM", ";")
+        if len(qubits) != gate.n_qubits:
+            self._error(f"{gate.value} expects {gate.n_qubits} qubit(s), got {len(qubits)}",
+                        name_tok)
+        if len(set(qubits)) != len(qubits):
+            self._error(f"duplicate qubit operand in {gate.value}", name_tok)
+        circuit.gate_op(gate, tuple(qubits), params)
+
+    def _parse_measure(self) -> None:
+        kw = self._next()
+        circuit = self._require_circuit(kw)
+        qname, qindex, qtok = self._reg_operand()
+        self._expect("ARROW")
+        cname, cindex, ctok = self._reg_operand()
+        self._expect("SYM", ";")
+        if self.qreg is None or qname != self.qreg[0]:
+            self._error(f"unknown quantum register {qname!r}", qtok)
+        creg_size = dict(circuit.cregs).get(cname)
+        if creg_size is None:
+            self._error(f"unknown classical register {cname!r}", ctok)
+        if (qindex is None) != (cindex is None):
+            self._error("measure needs both sides indexed or both whole registers", qtok)
+        if qindex is None:
+            if self.qreg[1] != creg_size:
+                self._error(
+                    f"whole-register measure needs equal sizes "
+                    f"({qname}[{self.qreg[1]}] vs {cname}[{creg_size}])", qtok)
+            for k in range(self.qreg[1]):  # ascending per-qubit expansion
+                circuit.measure(k, circuit.clbit_index(cname, k))
+        else:
+            if not 0 <= qindex < self.qreg[1]:
+                self._error(f"{qname}[{qindex}] out of range", qtok)
+            if not 0 <= cindex < creg_size:
+                self._error(f"{cname}[{cindex}] out of range", ctok)
+            circuit.measure(qindex, circuit.clbit_index(cname, cindex))
+
+    def _parse_reset(self) -> None:
+        kw = self._next()
+        circuit = self._require_circuit(kw)
+        name, index, tok = self._reg_operand()
+        self._expect("SYM", ";")
+        if self.qreg is None or name != self.qreg[0]:
+            self._error(f"unknown quantum register {name!r}", tok)
+        if index is None:
+            for k in range(self.qreg[1]):
+                circuit.reset(k)
+        else:
+            if not 0 <= index < self.qreg[1]:
+                self._error(f"{name}[{index}] out of range", tok)
+            circuit.reset(index)
+
+    def _parse_barrier(self) -> None:
+        kw = self._next()
+        circuit = self._require_circuit(kw)
+        qubits: list[int] = []
+        while True:
+            name, index, tok = self._reg_operand()
+            if self.qreg is None or name != self.qreg[0]:
+                self._error(f"unknown quantum register {name!r}", tok)
+            if index is None:
+                qubits.extend(range(self.qreg[1]))
+            else:
+                if not 0 <= index < self.qreg[1]:
+                    self._error(f"{name}[{index}] out of range", tok)
+                qubits.append(index)
+            if self._peek().text != ",":
+                break
+            self._next()
+        self._expect("SYM", ";")
+        seen = []
+        for q in qubits:
+            if q not in seen:
+                seen.append(q)
+        circuit.barrier(*seen)
+
+
+def parse_qasm(text: str) -> Circuit:
+    """nucsim.parse_qasm by the former token parser, which tokenizes the
+    whole text first and parses every statement, repeated lines included."""
+    return _Parser(text).parse()

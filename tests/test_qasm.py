@@ -253,13 +253,28 @@ def test_round_trip_random_circuits(seed, count):
 
 
 # ---------------------------------------------------------------------------
-# the fast path for emitted text against the token parser
+# parse_qasm, which reuses repeated statement lines, against the former
+# token parser (oracles.parse_qasm)
 
 
 def assert_same_circuit(a, b):
     assert a.n_qubits == b.n_qubits
     assert a.cregs == b.cregs
     assert [i.key() for i in a.instructions] == [i.key() for i in b.instructions]
+
+
+def assert_parses_as_oracle(text):
+    """parse_qasm gives the oracle parser's circuit, or its error message,
+    line and column."""
+    try:
+        want = oracles.parse_qasm(text)
+    except QasmError as exc:
+        with pytest.raises(QasmError) as got:
+            parse_qasm(text)
+        assert (str(got.value), got.value.line, got.value.col) == \
+            (str(exc), exc.line, exc.col)
+    else:
+        assert_same_circuit(parse_qasm(text), want)
 
 
 @st.composite
@@ -295,9 +310,7 @@ def emitted_circuits(draw):
 @settings(max_examples=60, deadline=None)
 def test_fast_path_matches_token_parser_on_emitted_text(circuit):
     text = emit_qasm(circuit)
-    fast = qasm._parse_emitted(text)
-    assert fast is not None  # emitted text never needs the token parser
-    assert_same_circuit(fast, qasm._Parser(text).parse())
+    assert_same_circuit(parse_qasm(text), oracles.parse_qasm(text))
     assert_same_circuit(parse_qasm(text), circuit)
 
 
@@ -324,21 +337,28 @@ _CANON = HEADER + "qreg q[3];\ncreg c[2];\n"
     "creg q[1];\n",                       # creg q after qreg q
     "h q[0];\n\nh q[1];\n",               # blank line
     "h q[0];",                             # no final newline
+    # repeated lines, which the parser reuses
+    "h\nq[0];\nh\nq[0];\nh q[0];\nh\nq[0];\n",   # a statement split over two lines
+    "h q[0]; cx q[0], q[1];\nh q[0]; cx q[0], q[1];\n",  # two statements on one line
+    "creg d[3];\nmeasure q -> d;\nx q[1];\nmeasure q -> d;\n",
+    "measure q[1] -> c[1];\ncreg d[1];\nmeasure q[1] -> c[1];\nmeasure q[0] -> d[0];\n",
+    "rz(0.5) q[2];\nrz(0.5) q[2];\nrz(0.5) q[3];\n",  # an error after a repeat
+    "h q[0];\nx q[1];\nh q[0];\nx q[1];\nh q[0];",  # no final newline, a repeat last
+    "h q[0];\nh q[0];\nh q[0]; $\n",      # a repeat, then a bad character
+    "h q[0];\nh q[0] // open\n;\nh q[0] // open\n;\n",
+    "h q[0]; h q[0];\nh q[0];\nh q[0]; h q[0];\n",
+    "barrier q;\nh q[0];\nbarrier q;\nreset q;\nreset q;\n",
+    "h q[0];\nh q[0];\nh q[5];\nh q[0]; @\n",    # a parse error before a bad character
+    "qreg q[3];\nh q[0];\n",             # a second qreg
+    "creg d[1];\ncreg d[1];\n",           # a repeated creg line
+    # a split statement whose two lines hold equally many tokens
+    "rz(-pi)\nq[0];\nrz(-pi)\nq[1];\n",
 ])
 def test_fast_path_agrees_with_token_parser_near_canonical_form(body):
-    """Lines close to the emitted form take the token parser, and both
-    parse_qasm and the token parser give the same circuit or error."""
+    """Text near the emitted form, with and without repeated lines: parse_qasm
+    and the oracle parser give the same circuit or the same error."""
     for text in (_CANON + body, (_CANON + body).replace("\n", "\r\n")):
-        assert qasm._parse_emitted(text) is None
-        try:
-            want = qasm._Parser(text).parse()
-        except QasmError as exc:
-            with pytest.raises(QasmError) as got:
-                parse_qasm(text)
-            assert (str(got.value), got.value.line, got.value.col) == \
-                (str(exc), exc.line, exc.col)
-        else:
-            assert_same_circuit(parse_qasm(text), want)
+        assert_parses_as_oracle(text)
 
 
 def test_fast_path_shares_one_instruction_per_distinct_line():
@@ -347,9 +367,49 @@ def test_fast_path_shares_one_instruction_per_distinct_line():
         c.h(0)
         c.cx(0, 1)
     c.measure(1, 0)
-    parsed = qasm._parse_emitted(emit_qasm(c))
+    parsed = parse_qasm(emit_qasm(c))
     assert len({id(i) for i in parsed.instructions}) == 3
     assert_same_circuit(parsed, c)
+
+
+def test_parse_tokenizes_each_distinct_line_once(monkeypatch):
+    text = emit_qasm(oracles.chain_filter_circuit(3, 2, 8))
+    lines = []
+    tokenize = qasm._tokenize
+    monkeypatch.setattr(qasm, "_tokenize",
+                        lambda line, number: lines.append(line) or tokenize(line, number))
+    parsed = parse_qasm(text)
+    assert len(text.split("\n")) > 2 * len(set(text.split("\n")))  # repeats to reuse
+    assert sorted(lines) == sorted(set(text.split("\n")))
+    assert_same_circuit(parsed, oracles.parse_qasm(text))
+
+
+_LINES = st.sampled_from([
+    "h q[0];", "cx q[0], q[1];", "rz(pi/4) q[2];", "rz(0.5) q[1]; // c", "measure q -> c;",
+    "measure q[1] -> c[0];", "measure q[0] -> d[1];", "reset q;", "barrier q[0], q[2];",
+    "creg d[2];", "creg c[3];", "qreg r[2];", "h q[0]; x q[1];", "h", "q[1];", "rz(", "0.25)",
+    "", "  ", "// note", "h q[3];", "cx q[1], q[1];", "rz(1/0) q[0];", "foo q[0];", "h q[0] $",
+    "OPENQASM 2.0;", "if", ";",
+])
+
+
+_HEADS = st.sampled_from([
+    HEADER + "qreg q[3];\ncreg c[2];",
+    'OPENQASM 2.0; include "qelib1.inc"; qreg q[3]; creg c[2]; h q[0];',
+    "OPENQASM 2.0;\nqreg q[3]; creg c[2];",   # no include line
+    "OPENQASM 2.0;\ncreg c[2];",              # no qreg yet
+    "OPENQASM 2.0;",
+])
+
+
+@given(head=_HEADS, lines=st.lists(_LINES, max_size=12), crlf=st.booleans(),
+       final=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_parse_agrees_with_oracle_on_hand_written_lines(head, lines, crlf, final):
+    """Valid, split, failing and repeated lines in any order: the same circuit
+    or the same first error as the oracle parser."""
+    text = "\n".join([head] + lines) + ("\n" if final else "")
+    assert_parses_as_oracle(text.replace("\n", "\r\n") if crlf else text)
 
 
 @pytest.mark.parametrize("decompose", [False, True])
