@@ -5,12 +5,14 @@ the least significant bit of the basis index.  Kernels work inside the live
 array and one reusable scratch buffer and swap the two after each gate, so
 memory stays at two vectors regardless of circuit depth.
 
-The execution plan packs each run of consecutive gates into blocks on at
-most ``_BLOCK_QUBITS`` qubits, greedily and in circuit order, and builds
-each block's product matrix at compile time, once per distinct block: the
+The execution plan is the circuit cut at its mid-circuit measure and reset
+points: one segment of blocks before each point and one after the last.
+Each run of consecutive gates is packed into blocks on at most
+``_BLOCK_QUBITS`` qubits, greedily and in circuit order, and each block's
+product matrix is built at compile time, once per distinct block: the
 Trotter slices of a filter step repeat the same blocks, so one compile
-keeps a memo from each block's gates (matrix bytes and qubits) to its bound
-kernel, which lives for that compile only.  One kernel runs every gate
+keeps a memo from each block's gates (matrix bytes and qubits) to its plan
+entry, which lives for that compile only.  One kernel runs every gate
 and block in three passes over the state, allocating nothing: a strided
 copy gathers the amplitudes into scratch as one contiguous row per value of
 the operand bits, one small matmul multiplies the rows into the live array,
@@ -46,13 +48,14 @@ import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .circuit import Circuit
 from .errors import (FilterAssertionError, MmaStructureError, ProjectionError,
                      ResourceLimitError)
-from .gates import Gate, gate_matrix, sort_operands, swap_conjugate  # swap_conjugate: re-exported
+from .gates import Gate, gate_matrix, sort_operands
 from .hamiltonian import PauliHamiltonian, apply_pauli_string
 
 EPS_MMA = 1e-12          # assertion fails below this |0> probability
@@ -142,8 +145,8 @@ _BLOCK_QUBITS = 4
 
 
 # One unchecked kernel, _kernel_block, runs every gate and block at every
-# width (see the module docstring).  The execution plan calls it directly;
-# the public apply_* functions validate and then call it.
+# width (see the module docstring).  The executors call it on each plan
+# entry; the public apply_* functions validate and then call it.
 def _kernel_block(state: StateVector, u: np.ndarray, shape: tuple[int, ...],
                   perm: tuple[int, ...]) -> None:
     # shape and perm come from _block_layout; u is indexed over the sorted
@@ -185,31 +188,40 @@ def _block_layout(qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
 
 
 def _bind(u: np.ndarray, qubits: tuple[int, ...]):
-    """The kernel for a gate matrix on the given qubits, with its arguments.
-    Unsorted operands are sorted and the matrix reindexed to match (SWAP
-    conjugation for a reversed pair)."""
+    """_kernel_block's arguments (u, shape, perm) for a gate matrix on the
+    given qubits.  Unsorted operands are sorted and the matrix reindexed to
+    match (SWAP conjugation for a reversed pair)."""
     u, qubits = sort_operands(u, qubits)
-    return _kernel_block, (u, *_block_layout(qubits))
+    return (u, *_block_layout(qubits))
 
 
-def _fuse_block(gates: list[tuple[np.ndarray, tuple[int, ...]]]):
-    """One bound kernel for consecutive gates, given as (matrix, qubits) in
+class Block(NamedTuple):
+    """A plan entry: a matrix on ascending qubits, run by
+    _kernel_block(state, u, shape, perm)."""
+    qubits: tuple[int, ...]
+    u: np.ndarray
+    shape: tuple[int, ...]
+    perm: tuple[int, ...]
+
+
+def _fuse_block(gates: list[tuple[np.ndarray, tuple[int, ...]]]) -> Block:
+    """The plan entry for consecutive gates, given as (matrix, qubits) in
     circuit order: their product on the sorted union of their qubits.
 
     The product is built by running the gates through the block kernel on
     the 2^k x 2^k identity, viewed as a 2k-qubit state whose qubit k + i is
     bit i of the row index, i.e. qubit i of the block.
     """
+    qubits = tuple(sorted({q for _, qs in gates for q in qs}))
     if len(gates) == 1:
-        return _bind(*gates[0])
-    qubits = sorted({q for _, qs in gates for q in qs})
+        return Block(qubits, *_bind(*gates[0]))
     k = len(qubits)
     slot = {q: k + i for i, q in enumerate(qubits)}
     batch = StateVector._adopt(np.eye(1 << k, dtype=np.complex128).ravel())
     for u, qs in gates:
         u, slots = sort_operands(u, tuple(slot[q] for q in qs))
         _kernel_block(batch, u, *_block_layout(slots))
-    return _bind(batch.amps.reshape(1 << k, 1 << k), tuple(qubits))
+    return Block(qubits, batch.amps.reshape(1 << k, 1 << k), *_block_layout(qubits))
 
 
 def apply_1q(state: StateVector, u: np.ndarray, q: int) -> StateVector:
@@ -248,8 +260,7 @@ def apply_dense(state: StateVector, u: np.ndarray, qubits: tuple[int, ...]) -> S
         raise ValueError(f"matrix must be {1 << k}x{1 << k}")
     for q in qubits:
         _check_qubit(state, q)
-    kernel, args = _bind(u, qubits)
-    kernel(state, *args)
+    _kernel_block(state, *_bind(u, qubits))
     return state
 
 
@@ -410,10 +421,6 @@ class RunReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-# plan opcodes besides the gate kernels
-_OP_MEASURE, _OP_RESET = "measure", "reset"
-
-
 def _sampling_start(instrs) -> int:
     """Index of the trailing measure/barrier block, the sampling point;
     everything before it executes."""
@@ -423,89 +430,88 @@ def _sampling_start(instrs) -> int:
     return start
 
 
-def _compile(circuit: Circuit, mode: str, ancilla: int | None):
-    """Resolve matrices, pack gates into blocks, classify measurements.
+class Plan(NamedTuple):
+    """A circuit before its sampling block, cut at its mid-circuit points.
+    segments[i] holds the blocks that run before points[i], the last segment
+    those after every point; a point is (qubit, step) for the step-th
+    measure and (qubit, None) for a reset."""
+    segments: list[list[Block]]
+    points: list[tuple[int, int | None]]
+    n_steps: int
+
+
+def _compile(circuit: Circuit, mode: str, ancilla: int | None) -> Plan:
+    """Resolve matrices, pack gates into blocks, cut at measures and resets.
 
     Each run of consecutive gates is cut greedily, in circuit order, into
     blocks on at most _BLOCK_QUBITS qubits (a wider gate is a block of its
-    own); a measure or reset closes the open block, barriers do not.  Each
-    block's product matrix is built here and bound to its kernel.
+    own); a measure or reset closes the open block and the segment, barriers
+    do not.  Each block's product matrix is built here, once per distinct
+    block, and repeats share its Block.
 
-    Returns (plan, n_steps): a list of (op, args) pairs over the
-    instructions before the sampling block, where op is a gate kernel,
-    _OP_MEASURE with args (qubit, step) or _OP_RESET with args (qubit,).
-    In mma mode the layout is validated: mid-circuit measures hit the
-    ancilla and pair with a following reset of it, and every reset is
-    preceded by such a measure.
+    In mma mode the same walk validates the layout: mid-circuit measures
+    hit the ancilla and pair with a following reset of it, and every reset
+    is preceded by such a measure (barriers between them are skipped).
     """
     instrs = circuit.instructions
-    final_start = _sampling_start(instrs)
-
-    if mode == "mma":
-        if ancilla is None or not 0 <= ancilla < circuit.n_qubits:
-            raise MmaStructureError(f"ancilla index {ancilla} out of range")
-        for pos in range(final_start):
-            ins = instrs[pos]
-            if ins.gate is Gate.MEASURE:
-                if ins.qubits[0] != ancilla:
-                    raise MmaStructureError(
-                        f"mid-circuit measure on qubit {ins.qubits[0]} is not the ancilla")
-                nxt = pos + 1
-                while nxt < final_start and instrs[nxt].gate is Gate.BARRIER:
-                    nxt += 1
-                if nxt >= final_start or instrs[nxt].gate is not Gate.RESET \
-                        or instrs[nxt].qubits[0] != ancilla:
-                    raise MmaStructureError(
-                        f"measure at instruction {pos} lacks a following ancilla reset")
-            elif ins.gate is Gate.RESET:
-                prev = pos - 1
-                while prev >= 0 and instrs[prev].gate is Gate.BARRIER:
-                    prev -= 1
-                if prev < 0 or instrs[prev].gate is not Gate.MEASURE \
-                        or instrs[prev].qubits != ins.qubits:
-                    raise MmaStructureError(
-                        f"reset at instruction {pos} is not paired with an assertion")
+    if mode == "mma" and (ancilla is None or not 0 <= ancilla < circuit.n_qubits):
+        raise MmaStructureError(f"ancilla index {ancilla} out of range")
 
     # Trotter slices repeat their blocks, so each distinct block, keyed by its
-    # gates' matrix bytes and qubits, is fused once per call and its bound
-    # kernel shared by every plan entry that repeats it
-    kernels: dict[tuple, tuple] = {}
-
-    def fuse(block: list[tuple[np.ndarray, tuple[int, ...]]]):
-        key = tuple((u.tobytes(), u.dtype, qs) for u, qs in block)
-        bound = kernels.get(key)
-        if bound is None:
-            bound = kernels[key] = _fuse_block(block)
-        return bound
-
-    plan = []
-    step = 0
+    # gates' matrix bytes and qubits, is fused once per call and its Block
+    # shared by every segment entry that repeats it
+    blocks: dict[tuple, Block] = {}
+    segments: list[list[Block]] = [[]]
     block: list[tuple[np.ndarray, tuple[int, ...]]] = []  # the open block's gates
+
+    def close_block() -> None:
+        key = tuple((u.tobytes(), u.dtype, qs) for u, qs in block)
+        entry = blocks.get(key)
+        if entry is None:
+            entry = blocks[key] = _fuse_block(block)
+        segments[-1].append(entry)
+
+    points: list[tuple[int, int | None]] = []
+    step = 0
+    measured = None  # mma: position of a measure whose ancilla reset comes next
     block_qubits: set[int] = set()
-    for pos in range(final_start):
+    for pos in range(_sampling_start(instrs)):
         ins = instrs[pos]
         g = ins.gate
         if g is Gate.BARRIER:
             continue
+        if measured is not None and (g is not Gate.RESET or ins.qubits[0] != ancilla):
+            raise MmaStructureError(
+                f"measure at instruction {measured} lacks a following ancilla reset")
         if ins.is_gate:
             joined = block_qubits.union(ins.qubits)
             if block and len(joined) > _BLOCK_QUBITS:
-                plan.append(fuse(block))
+                close_block()
                 block, joined = [], set(ins.qubits)
             block.append((ins.resolved_matrix(), ins.qubits))
             block_qubits = joined
             continue
         if block:
-            plan.append(fuse(block))
+            close_block()
             block, block_qubits = [], set()
         if g is Gate.MEASURE:
-            plan.append((_OP_MEASURE, (ins.qubits[0], step)))
+            if mode == "mma":
+                if ins.qubits[0] != ancilla:
+                    raise MmaStructureError(
+                        f"mid-circuit measure on qubit {ins.qubits[0]} is not the ancilla")
+                measured = pos
+            points.append((ins.qubits[0], step))
             step += 1
         else:
-            plan.append((_OP_RESET, ins.qubits))
+            if mode == "mma" and measured is None:
+                raise MmaStructureError(
+                    f"reset at instruction {pos} is not paired with an assertion")
+            measured = None
+            points.append((ins.qubits[0], None))
+        segments.append([])
     if block:
-        plan.append(fuse(block))
-    return plan, step
+        close_block()
+    return Plan(segments, points, step)
 
 
 def infer_ancilla(circuit: Circuit) -> int | None:
@@ -523,19 +529,24 @@ def infer_ancilla(circuit: Circuit) -> int | None:
     return None
 
 
-def _execute_mma(state: StateVector, plan) -> list[float]:
+def _run_segment(state: StateVector, segment: list[Block]) -> None:
+    for b in segment:
+        _kernel_block(state, b.u, b.shape, b.perm)
+
+
+def _execute_mma(state: StateVector, plan: Plan) -> list[float]:
     """Run a compiled plan in one pass, asserting |0> at every mid-circuit
     measurement; returns the assertion probabilities in order."""
     assert_probs: list[float] = []
-    for op, args in plan:
-        if op is _OP_MEASURE:
-            assert_probs.append(assert_measure(state, *args))
-        elif op is not _OP_RESET:  # the paired assertion already left |0>
-            op(state, *args)
+    for segment, (q, step) in zip(plan.segments, plan.points):
+        _run_segment(state, segment)
+        if step is not None:  # a reset finds the |0> its paired assertion left
+            assert_probs.append(assert_measure(state, q, step))
+    _run_segment(state, plan.segments[-1])
     return assert_probs
 
 
-def _execute_rejection(state: StateVector, plan, n_steps: int, shots: int,
+def _execute_rejection(state: StateVector, plan: Plan, shots: int,
                        rng: np.random.Generator, keep: bool):
     """Run shots of a compiled plan, drawing each mid-circuit outcome.
 
@@ -551,17 +562,7 @@ def _execute_rejection(state: StateVector, plan, n_steps: int, shots: int,
     Returns (accepted, samples, step_rejections, kept), where kept is a copy
     of the state at the first accepted shot when keep is set, else None.
     """
-    # the plan cut at its points, (qubit, step) with step None for a reset;
-    # segments[i] holds the kernels before point i, the last those after all
-    points: list[tuple[int, int | None]] = []
-    segments: list[list] = [[]]
-    for op, args in plan:
-        if op is _OP_MEASURE or op is _OP_RESET:
-            points.append((args[0], args[1] if op is _OP_MEASURE else None))
-            segments.append([])
-        else:
-            segments[-1].append((op, args))
-
+    segments, points = plan.segments, plan.points
     p0s: dict[tuple[int, ...], float] = {}
     leaf: tuple | None = None             # (accepted prefix, its CDF)
     at: tuple[int, ...] | None = None    # the prefix the cursor state sits at
@@ -573,8 +574,7 @@ def _execute_rejection(state: StateVector, plan, n_steps: int, shots: int,
         else:
             start = 0
             state.restart()
-            for op, args in segments[0]:
-                op(state, *args)
+            _run_segment(state, segments[0])
         for i in range(start, len(prefix)):
             q = points[i][0]
             if prefix[i] == 0:
@@ -583,11 +583,10 @@ def _execute_rejection(state: StateVector, plan, n_steps: int, shots: int,
                 # measured, not 1 - p0, which cancels when P(1) is tiny
                 _project(state.amps, q, 1, _branch_probability(state.amps, q, 1))
                 _kernel_block(state, _X, *_block_layout((q,)))
-            for op, args in segments[i + 1]:
-                op(state, *args)
+            _run_segment(state, segments[i + 1])
         at = prefix
 
-    step_rejections = [0] * n_steps
+    step_rejections = [0] * plan.n_steps
     drawn = np.empty(shots, dtype=np.intp)
     accepted = 0
     kept: np.ndarray | None = None
@@ -639,7 +638,7 @@ def run(circuit: Circuit, mode: str, shots: int, seed: int, ancilla: int | None,
         raise ValueError("shots must be positive")
     rng = _as_rng(seed)
     t0 = time.perf_counter()
-    plan, n_steps = _compile(circuit, mode, ancilla)
+    plan = _compile(circuit, mode, ancilla)
     state = StateVector(circuit.n_qubits)
 
     if mode == "mma":
@@ -653,7 +652,7 @@ def run(circuit: Circuit, mode: str, shots: int, seed: int, ancilla: int | None,
             energy=energy, fusion_stats=fusion_stats)
     else:
         accepted, samples, step_rejections, kept = _execute_rejection(
-            state, plan, n_steps, shots, rng, hamiltonian is not None)
+            state, plan, shots, rng, hamiltonian is not None)
         energy = None
         if kept is not None:
             energy = expectation_pauli(StateVector.from_amplitudes(kept), hamiltonian)

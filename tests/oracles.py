@@ -442,39 +442,35 @@ def fuse_pipeline(circuit: Circuit) -> tuple[Circuit, FusionStats]:
 def rejection_per_shot(circuit: Circuit, shots: int, seed: int,
                        hamiltonian: PauliHamiltonian | None = None) -> engine.RunReport:
     """run(circuit, "rejection", shots, seed, None, hamiltonian) by the
-    engine's former loop: each shot restarts, runs every plan entry up to
+    engine's former loop: each shot restarts, runs every plan segment up to
     its first rejection and draws from the generator in the same order."""
     rng = engine._as_rng(seed)
-    plan, n_steps = engine._compile(circuit, "rejection", None)
+    plan = engine._compile(circuit, "rejection", None)
     state = engine.StateVector(circuit.n_qubits)
     counts: dict[str, int] = {}
-    step_rejections = [0] * n_steps
+    step_rejections = [0] * plan.n_steps
     accepted = 0
     kept: np.ndarray | None = None
+
+    def run_segment(i: int) -> None:
+        for b in plan.segments[i]:
+            engine._kernel_block(state, b.u, b.shape, b.perm)
+
     for _ in range(shots):
         state.restart()
-        ok = True
-        for op, args in plan:
-            if op is engine._OP_MEASURE:
-                q, step = args
-                p0 = engine._branch_probability(state.amps, q, 0)
-                outcome = 0 if rng.random() < p0 else 1
-                if outcome == 1:
-                    step_rejections[step] += 1
-                    ok = False
-                    break
+        for i, (q, step) in enumerate(plan.points):
+            run_segment(i)
+            p0 = engine._branch_probability(state.amps, q, 0)
+            if rng.random() < p0:
                 engine._project(state.amps, q, 0, p0)
-            elif op is engine._OP_RESET:
-                q = args[0]
-                p0 = engine._branch_probability(state.amps, q, 0)
-                if rng.random() < p0:
-                    engine._project(state.amps, q, 0, p0)
-                else:
-                    engine._project(state.amps, q, 1, engine._branch_probability(state.amps, q, 1))
-                    engine._kernel_block(state, engine._X, *engine._block_layout((q,)))
-            else:
-                op(state, *args)
-        if ok:
+            elif step is not None:  # a measure found |1>: rejected
+                step_rejections[step] += 1
+                break
+            else:  # a reset found |1>
+                engine._project(state.amps, q, 1, engine._branch_probability(state.amps, q, 1))
+                engine._kernel_block(state, engine._X, *engine._block_layout((q,)))
+        else:
+            run_segment(-1)
             accepted += 1
             for key, cnt in engine.sample(state, 1, rng).items():
                 counts[key] = counts.get(key, 0) + cnt

@@ -23,7 +23,7 @@ from nucsim import (FilterSchedule, PauliHamiltonian, StateVector, TrialState,
                     predicted_amplitude, run, shift_rescale, success_product)
 from nucsim import engine
 from nucsim.cli import main as cli_main
-from nucsim.engine import swap_conjugate
+from nucsim.gates import swap_conjugate
 
 TABLE_PROBS = [0.29602, 0.48617, 0.69349, 0.74823, 0.73060, 0.77238,
                0.93470, 0.95811]
@@ -32,9 +32,8 @@ TABLE_PROBS = [0.29602, 0.48617, 0.69349, 0.74823, 0.73060, 0.77238,
 def final_state(circuit, ancilla: int) -> np.ndarray:
     """Normalized pre-sampling state, asserting |0> at mid-circuit measures,
     from the engine's own mma plan executor."""
-    plan, _ = engine._compile(circuit, "mma", ancilla)
     state = StateVector(circuit.n_qubits)
-    engine._execute_mma(state, plan)
+    engine._execute_mma(state, engine._compile(circuit, "mma", ancilla))
     return state.amps.copy()
 
 
@@ -345,7 +344,7 @@ def test_criterion_09_scale_smoke(capsys):
     assert n_gates >= 1_000_000
 
     fused, stats = fuse_pipeline(circuit)
-    plan, n_steps = engine._compile(fused, "mma", n)
+    plan = engine._compile(fused, "mma", n)
     del circuit
     gc.collect()
 
@@ -364,7 +363,7 @@ def test_criterion_09_scale_smoke(capsys):
     assert peak <= budget
     assert elapsed < 600.0
     assert drift <= 1e-9
-    assert len(probs) == n_steps == 2
+    assert len(probs) == plan.n_steps == 2
     assert all(0.0 < p <= 1.0 for p in probs)
     assert sum(samples.values()) == 64
     with capsys.disabled():

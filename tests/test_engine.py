@@ -20,9 +20,9 @@ from nucsim import (Circuit, FilterAssertionError, PauliHamiltonian,
                     expectation_pauli, fuse_pipeline, infer_ancilla,
                     measure_project, run, sample)
 from nucsim import engine
-from nucsim.engine import _as_rng, success_product, swap_conjugate
+from nucsim.engine import _as_rng, success_product
 from nucsim.errors import MmaStructureError, ProjectionError, ResourceLimitError
-from nucsim.gates import Gate, gate_matrix
+from nucsim.gates import Gate, gate_matrix, swap_conjugate
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -124,8 +124,7 @@ def test_apply_dense_matches_oracle():
 
 def bound_apply(u, qubits, amps):
     s = state_of(amps.copy())  # the kernel reuses the input as scratch
-    kernel, args = engine._bind(u, qubits)
-    kernel(s, *args)
+    engine._kernel_block(s, *engine._bind(u, qubits))
     return s.amps
 
 
@@ -228,7 +227,7 @@ def test_block_plan_matches_per_gate_replay(n, seed):
     rng = np.random.default_rng(seed)
     ancilla = int(rng.integers(n))
     circ = random_block_circuit(rng, n, int(rng.integers(1, 40)), ancilla)
-    plan, n_steps = engine._compile(circ, "mma", ancilla)
+    plan = engine._compile(circ, "mma", ancilla)
     state = StateVector(n)
     probs = engine._execute_mma(state, plan)
 
@@ -241,11 +240,11 @@ def test_block_plan_matches_per_gate_replay(n, seed):
             amps = replay_project(amps, ins.qubits[0], 0)
         elif ins.is_gate:
             amps = replay_gate(amps, ins)
-    assert len(probs) == n_steps == len(want)
+    assert len(probs) == plan.n_steps == len(want)
     assert max((abs(a - b) for a, b in zip(probs, want)), default=0.0) <= 1e-12
     assert np.max(np.abs(state.amps - amps)) <= 1e-12
     gates = sum(1 for ins in circ.instructions if ins.is_gate)
-    assert len(plan) - 2 * n_steps <= gates
+    assert sum(map(len, plan.segments)) <= gates
 
 
 def test_block_plan_packs_consecutive_gates():
@@ -256,12 +255,14 @@ def test_block_plan_packs_consecutive_gates():
     c.measure(5, 0)
     c.reset(5)
     c.h(5)  # after a reset: a block of its own
-    plan, _ = engine._compile(c, "mma", 5)
-    kernels = [op for op, _ in plan]
-    assert kernels == [engine._kernel_block, engine._kernel_block, engine._OP_MEASURE,
-                       engine._OP_RESET, engine._kernel_block]
-    assert plan[0][1][0].shape == (16, 16)  # cx on (0,1), (1,2), (2,3)
-    assert plan[1][1][0].shape == (8, 8)    # cx on (3,4), (4,5), then h(4)
+    plan = engine._compile(c, "mma", 5)
+    # cx on (0,1), (1,2), (2,3); cx on (3,4), (4,5), then h(4); nothing
+    # between the measure and the reset; h(5)
+    assert [[b.u.shape for b in seg] for seg in plan.segments] == \
+        [[(16, 16), (8, 8)], [], [(2, 2)]]
+    assert [[b.qubits for b in seg] for seg in plan.segments] == \
+        [[(0, 1, 2, 3), (3, 4, 5)], [], [(5,)]]
+    assert plan.points == [(5, 0), (5, None)]
 
 
 def packed_blocks(circ):
@@ -284,6 +285,31 @@ def packed_blocks(circ):
     return blocks
 
 
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8), filters=st.booleans(),
+       layout=st.lists(st.sampled_from(["filter", "reset", "dead"]), max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_compile_cuts_the_plan_at_each_measure_and_reset(seed, n, filters, layout):
+    rng = np.random.default_rng(seed)
+    if filters:
+        circ = rejection_circuit(rng, n, layout)
+    else:  # measure/reset pairs on one qubit, some with a barrier between
+        circ = random_block_circuit(rng, n, int(rng.integers(1, 40)), int(rng.integers(n)))
+    plan = engine._compile(circ, "rejection", None)
+
+    got = [b for seg in plan.segments for b in seg]
+    want = [engine._fuse_block(block) for block in packed_blocks(circ)]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.qubits == w.qubits and np.array_equal(g.u, w.u) and g[2:] == w[2:]
+
+    instrs = circ.instructions[:engine._sampling_start(circ.instructions)]
+    steps = itertools.count()
+    assert plan.points == [(ins.qubits[0], next(steps) if ins.gate is Gate.MEASURE else None)
+                           for ins in instrs if ins.gate in (Gate.MEASURE, Gate.RESET)]
+    assert plan.n_steps == next(steps)
+    assert len(plan.segments) == len(plan.points) + 1
+
+
 @pytest.mark.parametrize("fuse", [True, False])
 def test_compile_fuses_each_distinct_block_once(monkeypatch, fuse):
     h = PauliHamiltonian(5, {"ZIIII": 0.7, "IXIII": 0.3, "ZZIII": 0.2, "IIYYI": 0.1,
@@ -295,16 +321,17 @@ def test_compile_fuses_each_distinct_block_once(monkeypatch, fuse):
     calls = []
     monkeypatch.setattr(engine, "_fuse_block",
                         lambda gates: calls.append(gates) or real(gates))
-    plan, _ = engine._compile(circ, "mma", 5)
+    plan = engine._compile(circ, "mma", 5)
     blocks = packed_blocks(circ)
     distinct = {tuple((u.tobytes(), qs) for u, qs in b) for b in blocks}
     assert len(calls) == len(distinct) < len(blocks)
-    bound = [(op, args) for op, args in plan if callable(op)]
-    assert len(bound) == len(blocks)
-    for (op, args), block in zip(bound, blocks):
-        want_op, want = real(block)  # the same block fused on its own
-        assert op is want_op
-        assert np.array_equal(args[0], want[0]) and args[1:] == want[1:]
+    entries = [b for seg in plan.segments for b in seg]
+    assert len(entries) == len(blocks)
+    assert len({id(b) for b in entries}) == len(distinct)  # repeats share one entry
+    for got, block in zip(entries, blocks):
+        want = real(block)  # the same block fused on its own
+        assert got.qubits == want.qubits == tuple(sorted({q for _, qs in block for q in qs}))
+        assert np.array_equal(got.u, want.u) and got[2:] == want[2:]
 
 
 def replay_rejection(circ, shots, seed):
@@ -713,9 +740,9 @@ def test_plan_replays_public_kernels_bit_for_bit():
 
 
 def test_mma_structure_validation():
-    with pytest.raises(MmaStructureError):
+    with pytest.raises(MmaStructureError, match="^ancilla index None out of range$"):
         run(two_step_circuit(), "mma", shots=1, seed=0, ancilla=None)
-    with pytest.raises(MmaStructureError):
+    with pytest.raises(MmaStructureError, match="^ancilla index 9 out of range$"):
         run(two_step_circuit(), "mma", shots=1, seed=0, ancilla=9)
 
     bad = Circuit(2, [("c", 1), ("r", 2)])
@@ -724,14 +751,16 @@ def test_mma_structure_validation():
     bad.reset(0)
     bad.h(1)
     bad.measure(1, 1)
-    with pytest.raises(MmaStructureError):
+    with pytest.raises(MmaStructureError,
+                       match="^mid-circuit measure on qubit 0 is not the ancilla$"):
         run(bad, "mma", shots=1, seed=0, ancilla=1)
 
     missing_reset = Circuit(2, [("c", 1), ("r", 1)])
     missing_reset.measure(1, 0)
     missing_reset.h(0)
     missing_reset.measure(0, 0)
-    with pytest.raises(MmaStructureError):
+    with pytest.raises(MmaStructureError,
+                       match="^measure at instruction 0 lacks a following ancilla reset$"):
         run(missing_reset, "mma", shots=1, seed=0, ancilla=1)
 
     orphan_reset = Circuit(2, [("c", 1)])
@@ -739,8 +768,38 @@ def test_mma_structure_validation():
     orphan_reset.reset(1)
     orphan_reset.h(0)
     orphan_reset.measure(0, 0)
-    with pytest.raises(MmaStructureError):
+    with pytest.raises(MmaStructureError,
+                       match="^reset at instruction 1 is not paired with an assertion$"):
         run(orphan_reset, "mma", shots=1, seed=0, ancilla=1)
+
+    # barriers between a measure and its reset are skipped, and pair nothing
+    spaced = Circuit(2, [("c", 2)])
+    spaced.h(0)
+    spaced.measure(1, 0)
+    spaced.barrier()
+    spaced.reset(1)
+    spaced.h(0)
+    spaced.measure(0, 1)
+    assert run(spaced, "mma", shots=1, seed=0, ancilla=1).assert_probs == [pytest.approx(1.0)]
+
+    gate_then_barrier = Circuit(2, [("c", 1)])
+    gate_then_barrier.h(0)
+    gate_then_barrier.barrier()
+    gate_then_barrier.reset(1)
+    gate_then_barrier.measure(0, 0)
+    with pytest.raises(MmaStructureError,
+                       match="^reset at instruction 2 is not paired with an assertion$"):
+        run(gate_then_barrier, "mma", shots=1, seed=0, ancilla=1)
+
+    barrier_then_gate = Circuit(2, [("c", 2)])
+    barrier_then_gate.measure(1, 0)
+    barrier_then_gate.barrier()
+    barrier_then_gate.h(0)
+    barrier_then_gate.reset(1)
+    barrier_then_gate.measure(0, 1)
+    with pytest.raises(MmaStructureError,
+                       match="^measure at instruction 0 lacks a following ancilla reset$"):
+        run(barrier_then_gate, "mma", shots=1, seed=0, ancilla=1)
 
 
 def test_mma_assertion_failure_raises():
@@ -899,8 +958,8 @@ def test_rejection_runs_each_plan_entry_once_on_a_filter_circuit(monkeypatch):
     calls = count_kernel_calls(monkeypatch, 5)
     report = run(circ, "rejection", 256, 21, None)
     memo_calls = len(calls)
-    plan, _ = engine._compile(circ, "rejection", None)
-    kernels = sum(1 for op, _ in plan if callable(op))
+    plan = engine._compile(circ, "rejection", None)
+    kernels = sum(map(len, plan.segments))
     # every ancilla reset follows a |0> outcome, so the outcome tree is one
     # path: each plan entry runs once, not once per shot
     assert 0 < report.accepted < 256

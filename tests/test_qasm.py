@@ -308,7 +308,7 @@ def emitted_circuits(draw):
 
 @given(circuit=emitted_circuits())
 @settings(max_examples=60, deadline=None)
-def test_fast_path_matches_token_parser_on_emitted_text(circuit):
+def test_parse_matches_oracle_parser_on_emitted_text(circuit):
     text = emit_qasm(circuit)
     assert_same_circuit(parse_qasm(text), oracles.parse_qasm(text))
     assert_same_circuit(parse_qasm(text), circuit)
@@ -361,7 +361,7 @@ def test_fast_path_agrees_with_token_parser_near_canonical_form(body):
         assert_parses_as_oracle(text)
 
 
-def test_fast_path_shares_one_instruction_per_distinct_line():
+def test_parse_shares_one_instruction_per_distinct_line():
     c = Circuit(2, [("c", 1)])
     for _ in range(3):
         c.h(0)
