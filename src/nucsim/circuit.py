@@ -1,9 +1,18 @@
 """Circuit intermediate representation.
 
 A Circuit is one quantum register plus named classical registers and an
-ordered instruction list; list order is execution order, nothing is ever
-reordered implicitly.  Classical bits are flattened across registers in
-declaration order.  Qubit 0 is the least significant bit of a basis index.
+ordered instruction sequence; sequence order is execution order, nothing is
+ever reordered implicitly.  Classical bits are flattened across registers
+in declaration order.  Qubit 0 is the least significant bit of a basis
+index.
+
+The sequence is held as runs ``(instructions, count)``: ``count`` copies of
+the same instruction objects, one after another.  A flat circuit is one run
+of count 1, and the builder methods append to it.  The Trotter slices of a
+filter step are one run, so a circuit of 10^8 gates holds only its distinct
+slices.  ``instructions`` is the flat view; it expands the runs, so the
+stages from ``build_filter_circuit`` to ``run`` read ``runs`` instead and
+use :func:`walk_run` to handle a repeated run at the cost of a few copies.
 """
 
 from __future__ import annotations
@@ -57,7 +66,33 @@ class Circuit:
             raise ValueError("circuit needs at least one qubit")
         self.n_qubits = n_qubits
         self.cregs: list[tuple[str, int]] = list(cregs or [])
-        self.instructions: list[Instruction] = []
+        self.runs: list[tuple[list[Instruction], int]] = []
+
+    @property
+    def instructions(self) -> list[Instruction]:
+        """The flat instruction list.  A circuit that holds a repeated run is
+        first expanded, in place, into one run of count 1, so the list is the
+        circuit's own and edits to it are edits to the circuit."""
+        if len(self.runs) != 1 or self.runs[0][1] != 1:
+            flat: list[Instruction] = []
+            for body, count in self.runs:
+                flat += body * count
+            self.runs = [(flat, 1)]
+        return self.runs[0][0]
+
+    @instructions.setter
+    def instructions(self, instrs: list[Instruction]) -> None:
+        self.runs = [(instrs, 1)]
+
+    def append_run(self, body: list[Instruction], count: int) -> None:
+        """Append `count` copies of instructions already checked against
+        this circuit's registers; copies of one run share their objects."""
+        if not body:
+            return
+        if count == 1 and self.runs and self.runs[-1][1] == 1:
+            self.runs[-1][0].extend(body)
+        else:
+            self.runs.append((list(body), count))
 
     @property
     def n_clbits(self) -> int:
@@ -109,7 +144,9 @@ class Circuit:
         if instr.gate is Gate.MEASURE:
             if instr.cbit is None or not 0 <= instr.cbit < self.n_clbits:
                 raise ValueError(f"measure target bit {instr.cbit} out of range")
-        self.instructions.append(instr)
+        if not self.runs or self.runs[-1][1] != 1:
+            self.runs.append(([], 1))
+        self.runs[-1][0].append(instr)
 
     def gate_op(self, gate: Gate, qubits: tuple[int, ...], params: tuple[float, ...] = ()) -> None:
         self.append(Instruction(gate, qubits, tuple(float(p) for p in params)))
@@ -140,21 +177,87 @@ class Circuit:
     def rz(self, theta: float, q: int) -> None: self.gate_op(Gate.RZ, (q,), (theta,))
     def cx(self, c: int, t: int) -> None: self.gate_op(Gate.CX, (c, t))
 
+    def instruction_count(self) -> int:
+        """Length of the flat instruction sequence."""
+        return sum(len(body) * count for body, count in self.runs)
+
     def gate_count(self) -> int:
         """Unitary instruction count (measure/reset/barrier excluded)."""
-        return sum(1 for i in self.instructions if i.is_gate)
+        return sum(count * sum(1 for i in body if i.is_gate) for body, count in self.runs)
 
     def counts_by_width(self) -> dict[int, int]:
         """Gate counts keyed by qubit arity."""
         out: dict[int, int] = {}
-        for i in self.instructions:
-            if i.is_gate:
-                w = len(i.qubits)
-                out[w] = out.get(w, 0) + 1
+        for body, count in self.runs:
+            for i in body:
+                if i.is_gate:
+                    w = len(i.qubits)
+                    out[w] = out.get(w, 0) + count
         return out
 
     def copy_empty(self) -> "Circuit":
         return Circuit(self.n_qubits, list(self.cregs))
+
+
+def walk_run(body: list, count: int, cells: list, walk, snapshot, open_cells=tuple):
+    """Walk `count` copies of `body` as a flat walk would, but physically
+    only until the state carried across a copy boundary repeats.
+
+    ``walk(body)`` walks one copy: it appends to `cells` and may rewrite the
+    cells it still holds open.  ``snapshot(start, end)`` gives that carried
+    state as ``(key, objects)``: `key` is hashable and compares by value,
+    with each cell position p of this run (p >= start) taken relative to
+    `end`, and `objects` compare by identity.  ``open_cells()`` lists the
+    positions that a later instruction may still rewrite.
+
+    Once the state at a boundary equals the state `period` copies earlier,
+    every later stretch of `period` copies does what the last one did.  The
+    walk goes on until no open cell lies in this run's cells so far, so they
+    are final, walks the copies that do not fill a whole period, and returns
+    ``(a, b, times)``: cells[a:b], the last period before the repeat, stand
+    for `times` more of themselves right after them.  The cells after b are
+    the last copies of the run, and the carried state is the flat walk's at
+    the run's end.  Returns None when no whole period is left to skip.
+    """
+    start = len(cells)
+    bounds: list[int] = []  # len(cells) at each boundary walked
+    seen: dict = {}         # snapshot -> the boundary it was taken at
+    held = []               # the snapshots' objects, alive so that no id is reused
+    done = 0
+    while done < count:
+        b = len(cells)
+        if count > 1:
+            key, objects = snapshot(start, b)
+            held.append(objects)
+            j = seen.setdefault((key, tuple(map(id, objects))), done)
+            if j < done:
+                a, period = bounds[j], done - j
+                while done < count and any(start <= p < b for p in open_cells()):
+                    walk(body)
+                    done += 1
+                times, rest = divmod(count - done, period)
+                for _ in range(rest):
+                    walk(body)
+                return (a, b, times) if times else None
+        bounds.append(b)
+        walk(body)
+        done += 1
+    return None
+
+
+def run_pieces(cells: list, marks: list[tuple[int, int, int]], lo: int = 0,
+               hi: int | None = None) -> list[tuple[list, int]]:
+    """The runs that cells[lo:hi] stand for, given the marks walk_run
+    returned while filling them, in order: the cells between marks as runs
+    of count 1, and cells[a:b] of each mark (a, b, times) as a run of count
+    times + 1.  Empty runs are left out."""
+    out = []
+    at = lo
+    for a, b, times in marks:
+        out += [(cells[at:a], 1), (cells[a:b], times + 1)]
+        at = b
+    out.append((cells[at:hi], 1))
+    return [run for run in out if run[0]]
 
 
 def _checked_payload(matrix: np.ndarray, dim: int) -> np.ndarray:

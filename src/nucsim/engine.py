@@ -7,16 +7,23 @@ memory stays at two vectors regardless of circuit depth.
 
 The execution plan is the circuit cut at its mid-circuit measure and reset
 points: one segment of blocks before each point and one after the last.
-Each run of consecutive gates is packed into blocks on at most
+Each stretch of consecutive gates is packed into blocks on at most
 ``_BLOCK_QUBITS`` qubits, greedily and in circuit order, and each block's
 product matrix is built at compile time, once per distinct block: the
 Trotter slices of a filter step repeat the same blocks, so one compile
 keeps a memo from each block's gates (matrix bytes and qubits) to its plan
-entry, which lives for that compile only.  One kernel runs every gate
-and block in three passes over the state, allocating nothing: a strided
-copy gathers the amplitudes into scratch as one contiguous row per value of
-the operand bits, one small matmul multiplies the rows into the live array,
-and a strided copy scatters the result back into scratch in state order.
+entry, which lives for that compile only.  A circuit holds a step's slices
+as one repeated run (see ``circuit``), and the compile walks such a run
+only until the block it leaves open at a copy boundary repeats; a segment
+then holds runs ``(blocks, count)`` that the executors loop over, the
+blocks and order of a flat walk, so compile costs per distinct slice and
+the plan's size does not grow with the Trotter count.
+
+One kernel runs every gate and block in three passes over the state,
+allocating nothing: a strided copy gathers the amplitudes into scratch as
+one contiguous row per value of the operand bits, one small matmul
+multiplies the rows into the live array, and a strided copy scatters the
+result back into scratch in state order.
 
 Two execution modes:
 
@@ -52,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, run_pieces, walk_run
 from .errors import (FilterAssertionError, MmaStructureError, ProjectionError,
                      ResourceLimitError)
 from .gates import Gate, gate_matrix, sort_operands
@@ -421,21 +428,33 @@ class RunReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _sampling_start(instrs) -> int:
-    """Index of the trailing measure/barrier block, the sampling point;
-    everything before it executes."""
-    start = len(instrs)
-    while start > 0 and instrs[start - 1].gate in (Gate.MEASURE, Gate.BARRIER):
-        start -= 1
-    return start
+def _executed_runs(circuit: Circuit) -> list[tuple[list, int]]:
+    """The runs before the trailing measure/barrier block, the sampling
+    point: everything that executes."""
+    runs = list(circuit.runs)
+    while runs:
+        body, count = runs[-1]
+        j = len(body)
+        while j and body[j - 1].gate in (Gate.MEASURE, Gate.BARRIER):
+            j -= 1
+        if j == len(body):
+            break
+        runs.pop()
+        if j:  # the block starts in the last copy
+            if count > 1:
+                runs.append((body, count - 1))
+            runs.append((body[:j], 1))
+            break
+    return runs
 
 
 class Plan(NamedTuple):
     """A circuit before its sampling block, cut at its mid-circuit points.
     segments[i] holds the blocks that run before points[i], the last segment
     those after every point; a point is (qubit, step) for the step-th
-    measure and (qubit, None) for a reset."""
-    segments: list[list[Block]]
+    measure and (qubit, None) for a reset.  A segment is a list of runs
+    (blocks, count): `count` copies of the same blocks, in order."""
+    segments: list[list[tuple[list[Block], int]]]
     points: list[tuple[int, int | None]]
     n_steps: int
 
@@ -449,11 +468,15 @@ def _compile(circuit: Circuit, mode: str, ancilla: int | None) -> Plan:
     do not.  Each block's product matrix is built here, once per distinct
     block, and repeats share its Block.
 
+    A repeated run of the circuit is walked copy by copy only until the open
+    block at a copy boundary repeats (circuit.walk_run); the blocks since
+    its earlier occurrence then stand for the rest of the run, as one run
+    of the plan.  The blocks and their order are those of a flat walk.
+
     In mma mode the same walk validates the layout: mid-circuit measures
     hit the ancilla and pair with a following reset of it, and every reset
     is preceded by such a measure (barriers between them are skipped).
     """
-    instrs = circuit.instructions
     if mode == "mma" and (ancilla is None or not 0 <= ancilla < circuit.n_qubits):
         raise MmaStructureError(f"ancilla index {ancilla} out of range")
 
@@ -461,57 +484,78 @@ def _compile(circuit: Circuit, mode: str, ancilla: int | None) -> Plan:
     # gates' matrix bytes and qubits, is fused once per call and its Block
     # shared by every segment entry that repeats it
     blocks: dict[tuple, Block] = {}
-    segments: list[list[Block]] = [[]]
+    cells: list[Block] = []   # every segment's blocks, in order
+    cuts: list[int] = []      # where each segment but the last ends in cells
+    marks: list[list] = [[]]  # each segment's repeats, from walk_run
     block: list[tuple[np.ndarray, tuple[int, ...]]] = []  # the open block's gates
+    block_qubits: set[int] = set()
+    points: list[tuple[int, int | None]] = []
+    step = 0
+    measured = None  # mma: position of a measure whose ancilla reset comes next
+    pos = 0          # of the next instruction in the flat sequence
 
     def close_block() -> None:
         key = tuple((u.tobytes(), u.dtype, qs) for u, qs in block)
         entry = blocks.get(key)
         if entry is None:
             entry = blocks[key] = _fuse_block(block)
-        segments[-1].append(entry)
+        cells.append(entry)
 
-    points: list[tuple[int, int | None]] = []
-    step = 0
-    measured = None  # mma: position of a measure whose ancilla reset comes next
-    block_qubits: set[int] = set()
-    for pos in range(_sampling_start(instrs)):
-        ins = instrs[pos]
-        g = ins.gate
-        if g is Gate.BARRIER:
-            continue
-        if measured is not None and (g is not Gate.RESET or ins.qubits[0] != ancilla):
-            raise MmaStructureError(
-                f"measure at instruction {measured} lacks a following ancilla reset")
-        if ins.is_gate:
-            joined = block_qubits.union(ins.qubits)
-            if block and len(joined) > _BLOCK_QUBITS:
-                close_block()
-                block, joined = [], set(ins.qubits)
-            block.append((ins.resolved_matrix(), ins.qubits))
-            block_qubits = joined
-            continue
-        if block:
-            close_block()
-            block, block_qubits = [], set()
-        if g is Gate.MEASURE:
-            if mode == "mma":
-                if ins.qubits[0] != ancilla:
-                    raise MmaStructureError(
-                        f"mid-circuit measure on qubit {ins.qubits[0]} is not the ancilla")
-                measured = pos
-            points.append((ins.qubits[0], step))
-            step += 1
-        else:
-            if mode == "mma" and measured is None:
+    def walk(body: list) -> None:
+        nonlocal block, block_qubits, step, measured, pos
+        for at, ins in enumerate(body, pos):
+            g = ins.gate
+            if g is Gate.BARRIER:
+                continue
+            if measured is not None and (g is not Gate.RESET or ins.qubits[0] != ancilla):
                 raise MmaStructureError(
-                    f"reset at instruction {pos} is not paired with an assertion")
-            measured = None
-            points.append((ins.qubits[0], None))
-        segments.append([])
+                    f"measure at instruction {measured} lacks a following ancilla reset")
+            if ins.is_gate:
+                joined = block_qubits.union(ins.qubits)
+                if block and len(joined) > _BLOCK_QUBITS:
+                    close_block()
+                    block, joined = [], set(ins.qubits)
+                block.append((ins.resolved_matrix(), ins.qubits))
+                block_qubits = joined
+                continue
+            if block:
+                close_block()
+                block, block_qubits = [], set()
+            if g is Gate.MEASURE:
+                if mode == "mma":
+                    if ins.qubits[0] != ancilla:
+                        raise MmaStructureError(
+                            f"mid-circuit measure on qubit {ins.qubits[0]} is not the ancilla")
+                    measured = at
+                points.append((ins.qubits[0], step))
+                step += 1
+            else:
+                if mode == "mma" and measured is None:
+                    raise MmaStructureError(
+                        f"reset at instruction {at} is not paired with an assertion")
+                measured = None
+                points.append((ins.qubits[0], None))
+            cuts.append(len(cells))
+            marks.append([])
+        pos += len(body)
+
+    def snapshot(start: int, end: int) -> tuple[tuple, list]:
+        # a copy that cut the plan changed len(points): no repeat
+        return ((len(points), measured, tuple(qs for _, qs in block)),
+                [u for u, _ in block])
+
+    for body, count in _executed_runs(circuit):
+        end = pos + len(body) * count
+        # a copy with a point never repeats, so a mark falls in one segment
+        mark = walk_run(body, count, cells, walk, snapshot)
+        if mark is not None:
+            marks[-1].append(mark)
+        pos = end  # past the copies walked and those the mark stands for
     if block:
         close_block()
-    return Plan(segments, points, step)
+    bounds = [0, *cuts, len(cells)]
+    return Plan([run_pieces(cells, m, lo, hi) for lo, hi, m in zip(bounds, bounds[1:], marks)],
+                points, step)
 
 
 def infer_ancilla(circuit: Circuit) -> int | None:
@@ -521,17 +565,18 @@ def infer_ancilla(circuit: Circuit) -> int | None:
     count.  Returns None when there are no mid-circuit measures or when they
     hit more than one qubit.
     """
-    instrs = circuit.instructions
-    targets = {ins.qubits[0] for ins in instrs[:_sampling_start(instrs)]
+    targets = {ins.qubits[0] for body, _ in _executed_runs(circuit) for ins in body
                if ins.gate is Gate.MEASURE}
     if len(targets) == 1:
         return targets.pop()
     return None
 
 
-def _run_segment(state: StateVector, segment: list[Block]) -> None:
-    for b in segment:
-        _kernel_block(state, b.u, b.shape, b.perm)
+def _run_segment(state: StateVector, segment: list[tuple[list[Block], int]]) -> None:
+    for blocks, count in segment:
+        for _ in range(count):
+            for b in blocks:
+                _kernel_block(state, b.u, b.shape, b.perm)
 
 
 def _execute_mma(state: StateVector, plan: Plan) -> list[float]:

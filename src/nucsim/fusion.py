@@ -18,16 +18,23 @@ idempotent: running it on its own output changes nothing.
 
 Gate counts in the reported statistics exclude measure, reset and barrier.
 
-Each pass costs in proportion to the distinct work in a circuit, not to its
-gate count.  The Trotter slices of a filter circuit repeat the same frozen
-instructions and read-only gate matrices, so a pass meets the same operands
-again and again.  One memo per pass call, dropped when the call returns,
-keys on the identity of those objects: the matrix of each instruction, each
-product ``a @ b`` (operands and their order as written, never
-re-associated), each lift of a 2x2 matrix onto a slot, each SWAP conjugate
-and each output C1/C2 instruction.  Its outputs are therefore shared, and
-the next pass meets them as repeats too.  The payload matrices the passes
-compute are shared and read-only.
+Each pass maps the runs of a circuit (see ``circuit``) to runs and costs in
+proportion to the distinct work in it, not to its gate count.  A repeated
+run is walked copy by copy only until the state the pass carries across a
+copy boundary repeats (``circuit.walk_run``): the pending runs of
+``_collapse_runs``, or the last instruction on each qubit of
+``_absorb_sweep`` with what it holds.  The output of the copies since the
+earlier occurrence of that state then stands for the rest of the run, so
+the output is head + body x times + tail, with the instructions and order
+of a flat walk.  That state can repeat because one memo per pass call,
+dropped when the call returns, keys on the identity of the objects the
+copies share: the matrix of each instruction, each product ``a @ b``
+(operands and their order as written, never re-associated), each lift of a
+2x2 matrix onto a slot, each SWAP conjugate and each output C1/C2
+instruction.  Its outputs are therefore shared, and the next pass meets
+them as repeats too; the same memo makes the repeated lines of a parsed,
+flat circuit cheap.  The payload matrices the passes compute are shared
+and read-only.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, Instruction
+from .circuit import Circuit, Instruction, run_pieces, walk_run
 from .gates import Gate, swap_conjugate
 
 
@@ -81,10 +88,21 @@ def gate_count(circuit: Circuit) -> int:
     return circuit.gate_count()
 
 
-def _push(circuit: Circuit, ins: Instruction) -> int:
-    # instructions come from an already validated circuit; skip re-checks
-    circuit.instructions.append(ins)
-    return len(circuit.instructions) - 1
+def _walk(circuit: Circuit, cells: list, walk, snapshot, open_cells) -> list:
+    """Walk every run of `circuit` into `cells` (see circuit.walk_run);
+    returns the marks of the repeated copies."""
+    marks = []
+    for body, count in circuit.runs:
+        mark = walk_run(body, count, cells, walk, snapshot, open_cells)
+        if mark is not None:
+            marks.append(mark)
+    return marks
+
+
+def _rel(p: int, start: int, end: int) -> int:
+    """A cell position in a snapshot: negative, relative to `end`, for a cell
+    of the run being walked (p >= start), else as is."""
+    return p - end if p >= start else p
 
 
 def _lift(v: np.ndarray, slot: int) -> np.ndarray:
@@ -164,33 +182,43 @@ def _collapse_runs(circuit: Circuit, arity: int) -> Circuit:
     """Collapse each run of adjacent gates of `arity` (1 or 2) on the same
     operands, in the same order, into one C1 or C2; lone gates as well."""
     memo = _Memo()
-    out = circuit.copy_empty()
-    dest = out.instructions
+    dest: list[Instruction] = []
     # qubit -> [operands, slot in dest, accumulated matrix] of the pending
     # run on it; pending runs never share a qubit
     pending: dict[int, list] = {}
-    for ins in circuit.instructions:
-        operands = ins.qubits
-        if ins.is_gate and len(operands) == arity:
-            run = pending.get(operands[0])
-            if run is not None and run[0] == operands:
-                run[2] = memo.product(memo.matrix(ins), run[2])
-                continue
-            run = [operands, len(dest), memo.matrix(ins)]
-        else:
-            run = None
-        for q in operands:  # close the runs this instruction touches
-            held = pending.pop(q, None)
-            if held is not None:
-                dest[held[1]] = memo.payload(held[0], held[2])
-                for p in held[0]:
-                    pending.pop(p, None)
-        dest.append(ins)
-        if run is not None:
-            for q in operands:
-                pending[q] = run
+
+    def walk(body: list[Instruction]) -> None:
+        for ins in body:
+            operands = ins.qubits
+            if ins.is_gate and len(operands) == arity:
+                run = pending.get(operands[0])
+                if run is not None and run[0] == operands:
+                    run[2] = memo.product(memo.matrix(ins), run[2])
+                    continue
+                run = [operands, len(dest), memo.matrix(ins)]
+            else:
+                run = None
+            for q in operands:  # close the runs this instruction touches
+                held = pending.pop(q, None)
+                if held is not None:
+                    dest[held[1]] = memo.payload(held[0], held[2])
+                    for p in held[0]:
+                        pending.pop(p, None)
+            dest.append(ins)
+            if run is not None:
+                for q in operands:
+                    pending[q] = run
+
+    def snapshot(start: int, end: int) -> tuple[tuple, list]:
+        runs = [pending[q] for q in sorted(pending)]
+        return (tuple((r[0], _rel(r[1], start, end)) for r in runs), [r[2] for r in runs])
+
+    marks = _walk(circuit, dest, walk, snapshot, lambda: [r[1] for r in pending.values()])
     for run in pending.values():  # a pair's run is listed twice; the memo gives one payload
         dest[run[1]] = memo.payload(run[0], run[2])
+    out = circuit.copy_empty()
+    for piece, count in run_pieces(dest, marks):
+        out.append_run(piece, count)
     return out
 
 
@@ -221,47 +249,60 @@ def _absorbable(circuit: Circuit) -> bool:
     """Whether some single-qubit gate is next to a two-qubit gate on a
     qubit's timeline: exactly when an absorb sweep would change anything."""
     width = [0] * circuit.n_qubits  # per qubit: arity of its last instruction, 0 for markers
-    for ins in circuit.instructions:
-        w = len(ins.qubits) if ins.is_gate else 0
-        for q in ins.qubits:
-            if width[q] * w == 2:  # a 1q and a 2q gate, in either order
-                return True
-            width[q] = w
+    for body, count in circuit.runs:
+        # a copy leaves each qubit it touches as the copy before left it, so
+        # a third copy meets what the second met
+        for _ in range(min(count, 2)):
+            for ins in body:
+                w = len(ins.qubits) if ins.is_gate else 0
+                for q in ins.qubits:
+                    if width[q] * w == 2:  # a 1q and a 2q gate, in either order
+                        return True
+                    width[q] = w
     return False
 
 
 def _absorb_sweep(circuit: Circuit, memo: _Memo) -> Circuit:
-    out = circuit.copy_empty()
     dest: list[Instruction | None] = []
     last: dict[int, int] = {}
 
-    for ins in circuit.instructions:
-        if ins.is_gate and len(ins.qubits) == 1:
-            q = ins.qubits[0]
-            j = last.get(q)
-            prev = dest[j] if j is not None else None
-            if prev is not None and prev.is_gate and len(prev.qubits) == 2:
-                slot = prev.qubits.index(q)
-                merged = memo.product(memo.lift(memo.matrix(ins), slot), memo.matrix(prev))
-                dest[j] = memo.payload(prev.qubits, merged)
-                continue
-        elif ins.is_gate and len(ins.qubits) == 2:
-            matrix = None
-            for slot, q in enumerate(ins.qubits):
+    def walk(body: list[Instruction]) -> None:
+        for ins in body:
+            if ins.is_gate and len(ins.qubits) == 1:
+                q = ins.qubits[0]
                 j = last.get(q)
                 prev = dest[j] if j is not None else None
-                if prev is not None and prev.is_gate and len(prev.qubits) == 1:
-                    if matrix is None:
-                        matrix = memo.matrix(ins)
-                    matrix = memo.product(matrix, memo.lift(memo.matrix(prev), slot))
-                    dest[j] = None
-            if matrix is not None:
-                ins = memo.payload(ins.qubits, matrix)
-        dest.append(ins)
-        here = len(dest) - 1
-        for q in ins.qubits:
-            last[q] = here
-    out.instructions.extend(i for i in dest if i is not None)
+                if prev is not None and prev.is_gate and len(prev.qubits) == 2:
+                    slot = prev.qubits.index(q)
+                    merged = memo.product(memo.lift(memo.matrix(ins), slot), memo.matrix(prev))
+                    dest[j] = memo.payload(prev.qubits, merged)
+                    continue
+            elif ins.is_gate and len(ins.qubits) == 2:
+                matrix = None
+                for slot, q in enumerate(ins.qubits):
+                    j = last.get(q)
+                    prev = dest[j] if j is not None else None
+                    if prev is not None and prev.is_gate and len(prev.qubits) == 1:
+                        if matrix is None:
+                            matrix = memo.matrix(ins)
+                        matrix = memo.product(matrix, memo.lift(memo.matrix(prev), slot))
+                        dest[j] = None
+                if matrix is not None:
+                    ins = memo.payload(ins.qubits, matrix)
+            dest.append(ins)
+            here = len(dest) - 1
+            for q in ins.qubits:
+                last[q] = here
+
+    def snapshot(start: int, end: int) -> tuple[tuple, list]:
+        qubits = sorted(last)
+        return (tuple((q, _rel(last[q], start, end)) for q in qubits),
+                [dest[last[q]] for q in qubits])
+
+    marks = _walk(circuit, dest, walk, snapshot, last.values)
+    out = circuit.copy_empty()
+    for piece, count in run_pieces(dest, marks):
+        out.append_run([i for i in piece if i is not None], count)
     return out
 
 
@@ -273,10 +314,9 @@ def normalize_2q_order(circuit: Circuit) -> Circuit:
     """
     memo = _Memo()
     out = circuit.copy_empty()
-    for ins in circuit.instructions:
-        if ins.is_gate and len(ins.qubits) == 2 and ins.qubits[0] > ins.qubits[1]:
-            ins = memo.swapped(ins)
-        _push(out, ins)
+    for body, count in circuit.runs:  # no state crosses an instruction
+        out.append_run([memo.swapped(ins) if ins.is_gate and len(ins.qubits) == 2
+                        and ins.qubits[0] > ins.qubits[1] else ins for ins in body], count)
     return out
 
 
@@ -300,7 +340,7 @@ def fuse_pipeline(circuit: Circuit) -> tuple[Circuit, FusionStats]:
         # a pass adds no instruction and drops only gates it folds into
         # another, so only the input is counted
         out = fn(current)
-        after = count - (len(current.instructions) - len(out.instructions))
+        after = count - (current.instruction_count() - out.instruction_count())
         stats.append(PassStats(name, count, after))
         current, count = out, after
     return current, FusionStats(before, count, tuple(stats))

@@ -223,6 +223,10 @@ def build_filter_circuit(h: PauliHamiltonian, schedule: FilterSchedule,
     first-order slices of exp[-i (H t_i / r) Y_a], term by term in sorted
     order, one exact RY(2 d_i) on the ancilla, then measure, barrier, reset,
     barrier.  Only basis-string trials can be compiled.
+
+    The slices of a step are the same instructions at the same angles, so
+    each step's slices are one run of `trotter_steps` copies of one checked
+    slice: the circuit holds the distinct slices, not every gate.
     """
     n = h.n_qubits
     if ancilla != n:
@@ -241,14 +245,15 @@ def build_filter_circuit(h: PauliHamiltonian, schedule: FilterSchedule,
         if bit == "1":
             circuit.x(q)
     terms = [(letters, coeff.real) for letters, coeff in h.sorted_terms()]
-    instrs = circuit.instructions
     for i, (t, delta) in enumerate(schedule.steps):
         # every slice of a step is the same gates at the same angles: build
-        # and check one, then repeat its (frozen, shared) instructions
-        start = len(instrs)
+        # and check one, then hold its (frozen, shared) instructions as one
+        # run of trotter_steps copies
+        piece = circuit.copy_empty()
         for letters, coeff in terms:
-            _rotation(circuit, letters, coeff * t / trotter_steps, ancilla)
-        instrs.extend(instrs[start:] * (trotter_steps - 1))
+            _rotation(piece, letters, coeff * t / trotter_steps, ancilla)
+        for body, _ in piece.runs:  # one run: the builder methods write it
+            circuit.append_run(body, trotter_steps)
         circuit.ry(2.0 * delta, ancilla)
         circuit.measure(ancilla, circuit.clbit_index("c", i))
         circuit.barrier()

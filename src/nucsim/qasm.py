@@ -24,9 +24,11 @@ refuses a circuit with a classical register named ``q``, the name it gives
 the quantum register.  Fused C1/C2 payloads have no OpenQASM name; with
 ``decompose=True`` a C1 emits as one u3 and a C2 as a cosine-sine ladder
 (two cx, two rzz, single-qubit layers), both exact up to global phase.
-One emit call formats each distinct instruction object once and repeats its
-text, and decomposes each distinct C2 payload once; the memos live for that
-call only.
+One emit call formats each run of the circuit once and repeats its lines,
+formats each distinct instruction object once and repeats its text, and
+decomposes each distinct C2 payload once; the memos live for that call
+only.  Parsing still reads one line per gate and gives a flat circuit, one
+run of count 1: QASM 2.0 has no loops.
 """
 
 from __future__ import annotations
@@ -209,21 +211,23 @@ class _Parser:
         measure, reset or barrier statement maps to the instructions it
         appended, and a repeat of the line appends those same objects."""
         seen: dict[str, list[Instruction]] = {}
+        instrs: list[Instruction] = []  # the circuit's flat list, once it is declared
         while self.pos < len(self.tokens):  # statements on the header's last line
             self._statement()
         for number, text in self.lines:  # the iterator _peek reads lines from too
             hit = seen.get(text)
             if hit is not None:
-                self.circuit.instructions.extend(hit)
+                instrs.extend(hit)
                 continue
             tokens = self.tokens = _tokenize(text, number)
             self.pos = 0
             if tokens and tokens[0].text not in ("qreg", "creg") and self.circuit is not None:
-                before = len(self.circuit.instructions)
+                instrs = self.circuit.instructions
+                before = len(instrs)
                 self._statement()
                 # the statement read no further line and filled this one
                 if self.tokens is tokens and self.pos == len(tokens):
-                    seen[text] = self.circuit.instructions[before:]
+                    seen[text] = instrs[before:]
             while self.pos < len(self.tokens):  # statements after another on a line
                 self._statement()
 
@@ -505,9 +509,12 @@ def emit_qasm(circuit: Circuit, decompose: bool = False) -> str:
     # hash by identity), and each C2 payload's decomposition
     emitted: dict[Instruction, str] = {}
     ladders: dict[int, tuple[list[tuple], np.ndarray]] = {}
-    for ins in circuit.instructions:
-        text = emitted.get(ins)
-        if text is None:
-            text = emitted[ins] = _emit_instruction(circuit, ins, decompose, ladders)
-        lines.append(text)
+    for body, count in circuit.runs:  # each run's lines are formatted once
+        texts = []
+        for ins in body:
+            text = emitted.get(ins)
+            if text is None:
+                text = emitted[ins] = _emit_instruction(circuit, ins, decompose, ladders)
+            texts.append(text)
+        lines += texts * count
     return "\n".join(lines) + "\n"

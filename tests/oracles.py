@@ -240,6 +240,20 @@ def fresh_copy(ins: Instruction) -> Instruction:
     return Instruction(ins.gate, ins.qubits, ins.params, matrix, ins.cbit)
 
 
+def flat_copy(circuit: Circuit) -> Circuit:
+    """The same circuit as one run of count 1, its runs expanded here, not
+    by the package; `circuit` itself is left as it is."""
+    out = circuit.copy_empty()
+    out.instructions = [ins for body, count in circuit.runs for _ in range(count) for ins in body]
+    return out
+
+
+def plan_blocks(plan: engine.Plan) -> list[list[engine.Block]]:
+    """Each segment of a compiled plan as the flat list of blocks it runs."""
+    return [[b for blocks, count in seg for _ in range(count) for b in blocks]
+            for seg in plan.segments]
+
+
 def chain_filter_circuit(n_spins: int, steps: int, trotter: int) -> Circuit:
     """The filter circuit of a transverse-field ZZ chain (fields 0.12 +
     0.01 i, couplings 0.08) plus its ancilla, on a halving schedule."""
@@ -453,8 +467,9 @@ def rejection_per_shot(circuit: Circuit, shots: int, seed: int,
     kept: np.ndarray | None = None
 
     def run_segment(i: int) -> None:
-        for b in plan.segments[i]:
-            engine._kernel_block(state, b.u, b.shape, b.perm)
+        for blocks, count in plan.segments[i]:
+            for b in blocks * count:
+                engine._kernel_block(state, b.u, b.shape, b.perm)
 
     for _ in range(shots):
         state.restart()

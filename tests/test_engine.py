@@ -244,7 +244,7 @@ def test_block_plan_matches_per_gate_replay(n, seed):
     assert max((abs(a - b) for a, b in zip(probs, want)), default=0.0) <= 1e-12
     assert np.max(np.abs(state.amps - amps)) <= 1e-12
     gates = sum(1 for ins in circ.instructions if ins.is_gate)
-    assert sum(map(len, plan.segments)) <= gates
+    assert sum(map(len, oracles.plan_blocks(plan))) <= gates
 
 
 def test_block_plan_packs_consecutive_gates():
@@ -258,17 +258,26 @@ def test_block_plan_packs_consecutive_gates():
     plan = engine._compile(c, "mma", 5)
     # cx on (0,1), (1,2), (2,3); cx on (3,4), (4,5), then h(4); nothing
     # between the measure and the reset; h(5)
-    assert [[b.u.shape for b in seg] for seg in plan.segments] == \
+    assert [[b.u.shape for b in seg] for seg in oracles.plan_blocks(plan)] == \
         [[(16, 16), (8, 8)], [], [(2, 2)]]
-    assert [[b.qubits for b in seg] for seg in plan.segments] == \
+    assert [[b.qubits for b in seg] for seg in oracles.plan_blocks(plan)] == \
         [[(0, 1, 2, 3), (3, 4, 5)], [], [(5,)]]
     assert plan.points == [(5, 0), (5, None)]
+
+
+def executed(circ):
+    """The flat instructions before the trailing measure/barrier block."""
+    instrs = oracles.flat_copy(circ).instructions
+    end = len(instrs)
+    while end and instrs[end - 1].gate in (Gate.MEASURE, Gate.BARRIER):
+        end -= 1
+    return instrs[:end]
 
 
 def packed_blocks(circ):
     """_compile's greedy packing, written out: the (matrix, qubits) gate
     lists of the plan's blocks in order, repeats included."""
-    instrs = circ.instructions[:engine._sampling_start(circ.instructions)]
+    instrs = executed(circ)
     blocks, block, qubits = [], [], set()
     for ins in instrs:
         if ins.is_gate:
@@ -296,13 +305,13 @@ def test_compile_cuts_the_plan_at_each_measure_and_reset(seed, n, filters, layou
         circ = random_block_circuit(rng, n, int(rng.integers(1, 40)), int(rng.integers(n)))
     plan = engine._compile(circ, "rejection", None)
 
-    got = [b for seg in plan.segments for b in seg]
+    got = [b for seg in oracles.plan_blocks(plan) for b in seg]
     want = [engine._fuse_block(block) for block in packed_blocks(circ)]
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.qubits == w.qubits and np.array_equal(g.u, w.u) and g[2:] == w[2:]
 
-    instrs = circ.instructions[:engine._sampling_start(circ.instructions)]
+    instrs = executed(circ)
     steps = itertools.count()
     assert plan.points == [(ins.qubits[0], next(steps) if ins.gate is Gate.MEASURE else None)
                            for ins in instrs if ins.gate in (Gate.MEASURE, Gate.RESET)]
@@ -325,7 +334,7 @@ def test_compile_fuses_each_distinct_block_once(monkeypatch, fuse):
     blocks = packed_blocks(circ)
     distinct = {tuple((u.tobytes(), qs) for u, qs in b) for b in blocks}
     assert len(calls) == len(distinct) < len(blocks)
-    entries = [b for seg in plan.segments for b in seg]
+    entries = [b for seg in oracles.plan_blocks(plan) for b in seg]
     assert len(entries) == len(blocks)
     assert len({id(b) for b in entries}) == len(distinct)  # repeats share one entry
     for got, block in zip(entries, blocks):
@@ -959,7 +968,7 @@ def test_rejection_runs_each_plan_entry_once_on_a_filter_circuit(monkeypatch):
     report = run(circ, "rejection", 256, 21, None)
     memo_calls = len(calls)
     plan = engine._compile(circ, "rejection", None)
-    kernels = sum(map(len, plan.segments))
+    kernels = sum(map(len, oracles.plan_blocks(plan)))
     # every ancilla reset follows a |0> outcome, so the outcome tree is one
     # path: each plan entry runs once, not once per shot
     assert 0 < report.accepted < 256
