@@ -42,7 +42,9 @@ _RESOURCE_ERRORS = (ResourceLimitError, MemoryError)
 
 @dataclass(frozen=True, slots=True)
 class RunConfig:
-    """Validated per-invocation settings shared by the subcommands."""
+    """Validated per-invocation settings shared by the subcommands.  Its
+    defaults are the command line's: an option left out parses as None,
+    which from_args drops."""
 
     command: str
     input: str | None = None
@@ -231,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a QASM circuit and report statistics")
     p.add_argument("--input", required=True, help="OpenQASM 2.0 circuit file")
-    p.add_argument("--mode", choices=("mma", "rejection"), default="mma")
-    p.add_argument("--shots", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=1234)
+    p.add_argument("--mode", choices=("mma", "rejection"), default=None)
+    p.add_argument("--shots", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--ancilla", type=int, default=None,
                    help="assertion qubit; default: inferred from mid-circuit measures")
     p.add_argument("--no-fuse", action="store_true", dest="no_fuse")
@@ -253,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", type=float, default=None,
                    help="spectral gap for the default schedule (else computed)")
     p.add_argument("--steps", type=int, default=None, help="default-schedule step count")
-    p.add_argument("--trotter", type=int, default=1, help="slices per filter step")
+    p.add_argument("--trotter", type=int, default=None, help="slices per filter step")
     p.add_argument("--ancilla", type=int, default=None)
     p.add_argument("--e0", type=float, default=None,
                    help="ground energy to shift by (else computed)")
@@ -265,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter-lcu", help="truncated sum-of-unitaries filter report")
     p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--m", type=int, default=8, help="filter half-power")
-    p.add_argument("--tail-tol", type=float, default=1e-8, dest="tail_tol")
+    p.add_argument("--m", type=int, default=None, help="filter half-power")
+    p.add_argument("--tail-tol", type=float, default=None, dest="tail_tol")
     common(p)
 
     return parser

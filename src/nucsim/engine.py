@@ -9,15 +9,18 @@ The execution plan is the circuit cut at its mid-circuit measure and reset
 points: one segment of blocks before each point and one after the last.
 Each stretch of consecutive gates is packed into blocks on at most
 ``_BLOCK_QUBITS`` qubits, greedily and in circuit order, and each block's
-product matrix is built at compile time, once per distinct block: the
-Trotter slices of a filter step repeat the same blocks, so one compile
-keeps a memo from each block's gates (matrix bytes and qubits) to its plan
-entry, which lives for that compile only.  A circuit holds a step's slices
-as one repeated run (see ``circuit``), and the compile walks such a run
-only until the block it leaves open at a copy boundary repeats; a segment
-then holds runs ``(blocks, count)`` that the executors loop over, the
-blocks and order of a flat walk, so compile costs per distinct slice and
-the plan's size does not grow with the Trotter count.
+product matrix is built at compile time, once per distinct block, by
+``gates._compose``: each gate is placed in the block's 2^k x 2^k space by
+the cached index lift ``gates._lift`` and left-multiplied onto the product
+of the gates before it.  The Trotter slices of a filter step repeat the
+same blocks, so one compile keeps a memo from each block's gates (matrix
+bytes and qubits) to its plan entry, which lives for that compile only.
+A circuit holds a step's slices as one repeated run (see ``circuit``), and
+the compile walks such a run only until the block it leaves open at a copy
+boundary repeats; a segment then holds runs ``(blocks, count)`` that the
+executors loop over, the blocks and order of a flat walk, so compile costs
+per distinct slice and the plan's size does not grow with the Trotter
+count.
 
 One kernel runs every gate and block in three passes over the state,
 allocating nothing: a strided copy gathers the amplitudes into scratch as
@@ -62,7 +65,7 @@ import numpy as np
 from .circuit import Circuit, run_pieces, walk_run
 from .errors import (FilterAssertionError, MmaStructureError, ProjectionError,
                      ResourceLimitError)
-from .gates import Gate, gate_matrix, sort_operands
+from .gates import Gate, _compose, gate_matrix, sort_operands
 from .hamiltonian import PauliHamiltonian, apply_pauli_string
 
 EPS_MMA = 1e-12          # assertion fails below this |0> probability
@@ -213,22 +216,10 @@ class Block(NamedTuple):
 
 def _fuse_block(gates: list[tuple[np.ndarray, tuple[int, ...]]]) -> Block:
     """The plan entry for consecutive gates, given as (matrix, qubits) in
-    circuit order: their product on the sorted union of their qubits.
-
-    The product is built by running the gates through the block kernel on
-    the 2^k x 2^k identity, viewed as a 2k-qubit state whose qubit k + i is
-    bit i of the row index, i.e. qubit i of the block.
-    """
-    qubits = tuple(sorted({q for _, qs in gates for q in qs}))
-    if len(gates) == 1:
-        return Block(qubits, *_bind(*gates[0]))
-    k = len(qubits)
-    slot = {q: k + i for i, q in enumerate(qubits)}
-    batch = StateVector._adopt(np.eye(1 << k, dtype=np.complex128).ravel())
-    for u, qs in gates:
-        u, slots = sort_operands(u, tuple(slot[q] for q in qs))
-        _kernel_block(batch, u, *_block_layout(slots))
-    return Block(qubits, batch.amps.reshape(1 << k, 1 << k), *_block_layout(qubits))
+    circuit order: their product on the sorted union of their qubits
+    (gates._compose), with that union's kernel layout."""
+    qubits, u = _compose(gates)
+    return Block(qubits, u, *_block_layout(qubits))
 
 
 def apply_1q(state: StateVector, u: np.ndarray, q: int) -> StateVector:

@@ -30,11 +30,12 @@ of a flat walk.  That state can repeat because one memo per pass call,
 dropped when the call returns, keys on the identity of the objects the
 copies share: the matrix of each instruction, each product ``a @ b``
 (operands and their order as written, never re-associated), each lift of a
-2x2 matrix onto a slot, each SWAP conjugate and each output C1/C2
-instruction.  Its outputs are therefore shared, and the next pass meets
-them as repeats too; the same memo makes the repeated lines of a parsed,
-flat circuit cheap.  The payload matrices the passes compute are shared
-and read-only.
+2x2 matrix onto one slot of a pair (``gates._lift``, the index placement
+every gate product and operand reorder goes through), each SWAP conjugate
+and each output C1/C2 instruction.  Its outputs are therefore shared, and
+the next pass meets them as repeats too; the same memo makes the repeated
+lines of a parsed, flat circuit cheap.  The payload matrices the passes
+compute are shared and read-only.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, Instruction, run_pieces, walk_run
-from .gates import Gate, swap_conjugate
+from .gates import Gate, _lift, swap_conjugate
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,17 +106,6 @@ def _rel(p: int, start: int, end: int) -> int:
     return p - end if p >= start else p
 
 
-def _lift(v: np.ndarray, slot: int) -> np.ndarray:
-    """2x2 matrix acting on one slot of a (slot0 low, slot1 high) pair:
-    kron(I, v) for slot 0, kron(v, I) for slot 1, written by slicing."""
-    out = np.zeros((4, 4), dtype=complex)
-    if slot == 0:
-        out[:2, :2] = out[2:, 2:] = v
-    else:
-        out[::2, ::2] = out[1::2, 1::2] = v
-    return out
-
-
 class _Memo:
     """The matrices and instructions one pass call computes, each once.
 
@@ -154,7 +144,7 @@ class _Memo:
         key = (id(v), slot)
         hit = self._lift.get(key)
         if hit is None:
-            m = _lift(v, slot)
+            m = _lift(v, (slot,), 2)
             m.setflags(write=False)
             hit = self._lift[key] = (m, v)
         return hit[0]

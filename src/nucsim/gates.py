@@ -157,39 +157,46 @@ def _controlled(u: np.ndarray, n_controls: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _lift_index(slots: tuple[int, ...], n_slots: int) -> np.ndarray:
+    """Where _lift puts the entries of a matrix on `slots`: flat positions
+    in the 2^n_slots square matrix, for each setting t of the other slots in
+    turn.  Entry (a, b) goes to row rows[t, a] and column rows[t, b], the
+    index with the bits of t on the other slots and bit j of a on slots[j]."""
+
+    def spread(bits: tuple[int, ...]) -> np.ndarray:
+        # each index i with its bit j moved to position bits[j]
+        i = np.arange(1 << len(bits))
+        out = np.zeros_like(i)
+        for j, s in enumerate(bits):
+            out |= ((i >> j) & 1) << s
+        return out
+
+    rows = spread(tuple(s for s in range(n_slots) if s not in slots))[:, None] + spread(slots)
+    # left writable: ndarray.put copies a read-only index on every call
+    return ((rows << n_slots)[:, :, None] + rows[:, None, :]).ravel()
+
+
 def _lift(u: np.ndarray, slots: tuple[int, ...], n_slots: int) -> np.ndarray:
-    """Embed a gate matrix acting on the given slots into an n_slot space."""
-    dim = 2 ** n_slots
-    out = np.zeros((dim, dim), dtype=complex)
-    rest = [s for s in range(n_slots) if s not in slots]
-    for col in range(dim):
-        sub_in = sum(((col >> s) & 1) << j for j, s in enumerate(slots))
-        base = sum(((col >> s) & 1) << s for s in rest)
-        for sub_out in range(u.shape[0]):
-            amp = u[sub_out, sub_in]
-            if amp != 0:
-                row = base + sum(((sub_out >> j) & 1) << s for j, s in enumerate(slots))
-                out[row, col] += amp
+    """A gate matrix embedded in the space of n_slots slots: slot j of u
+    lands on slots[j], in any order, and the other slots carry the identity.
+    Pure placement: every entry is u's own or zero."""
+    out = np.zeros((1 << n_slots, 1 << n_slots), dtype=complex)
+    out.put(_lift_index(slots, n_slots), u)  # u repeats for each t
     return out
 
 
-def _compose(n_slots: int, ops: list[tuple[np.ndarray, tuple[int, ...]]]) -> np.ndarray:
-    """Dense product of gates applied in list order (first entry acts first)."""
-    acc = np.eye(2 ** n_slots, dtype=complex)
-    for u, slots in ops:
-        acc = _lift(u, slots, n_slots) @ acc
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _slot_take(order: tuple[int, ...]) -> np.ndarray:
-    # flat indices into a matrix over the old slots, for each entry of the
-    # matrix over the new ones, whose slot j is old slot order[j]
-    old = np.array([sum(((r >> j) & 1) << s for j, s in enumerate(order))
-                    for r in range(1 << len(order))])
-    take = (old[:, None] * len(old) + old[None, :]).ravel()
-    take.setflags(write=False)
-    return take
+def _compose(ops: list[tuple[np.ndarray, tuple[int, ...]]]) -> tuple[tuple[int, ...], np.ndarray]:
+    """Gates given as (matrix, qubits) in circuit order, as one matrix on the
+    sorted union of their qubits: lift(u_n) @ ... @ lift(u_1), built by
+    left-multiplying one gate at a time.  Returns (qubits, product)."""
+    qubits = tuple(sorted({q for _, qs in ops for q in qs}))
+    slot = {q: i for i, q in enumerate(qubits)}
+    acc = None
+    for u, qs in ops:
+        lifted = _lift(u, tuple(slot[q] for q in qs), len(qubits))
+        acc = lifted if acc is None else lifted @ acc
+    return qubits, acc
 
 
 def sort_operands(u: np.ndarray, qubits: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -197,8 +204,8 @@ def sort_operands(u: np.ndarray, qubits: tuple[int, ...]) -> tuple[np.ndarray, t
     reindexed so that its slot j acts on the j-th smallest qubit."""
     if all(a < b for a, b in zip(qubits, qubits[1:])):
         return u, tuple(qubits)
-    order = tuple(sorted(range(len(qubits)), key=qubits.__getitem__))
-    return np.take(u, _slot_take(order)).reshape(u.shape), tuple(qubits[j] for j in order)
+    ordered = sorted(qubits)
+    return _lift(u, tuple(ordered.index(q) for q in qubits), len(qubits)), tuple(ordered)
 
 
 def swap_conjugate(u: np.ndarray) -> np.ndarray:
@@ -236,10 +243,10 @@ def _rccx_matrix() -> np.ndarray:
     u2_0pi = _u3(math.pi / 2, 0.0, math.pi)
     t, tdg = _u1(math.pi / 4), _u1(-math.pi / 4)
     cx = _controlled(_X, 1)
-    return _compose(3, [
+    return _compose([
         (u2_0pi, (2,)), (t, (2,)), (cx, (1, 2)), (tdg, (2,)),
         (cx, (0, 2)), (t, (2,)), (cx, (1, 2)), (tdg, (2,)), (u2_0pi, (2,)),
-    ])
+    ])[1]
 
 
 def _rc3x_matrix() -> np.ndarray:
@@ -247,12 +254,12 @@ def _rc3x_matrix() -> np.ndarray:
     u2_0pi = _u3(math.pi / 2, 0.0, math.pi)
     t, tdg = _u1(math.pi / 4), _u1(-math.pi / 4)
     cx = _controlled(_X, 1)
-    return _compose(4, [
+    return _compose([
         (u2_0pi, (3,)), (t, (3,)), (cx, (2, 3)), (tdg, (3,)), (u2_0pi, (3,)),
         (cx, (0, 3)), (t, (3,)), (cx, (1, 3)), (tdg, (3,)),
         (cx, (0, 3)), (t, (3,)), (cx, (1, 3)), (tdg, (3,)),
         (u2_0pi, (3,)), (t, (3,)), (cx, (2, 3)), (tdg, (3,)), (u2_0pi, (3,)),
-    ])
+    ])[1]
 
 
 _FIXED = {

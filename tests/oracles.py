@@ -7,16 +7,20 @@ executed by full matrix-vector products.  Slow but obviously correct, and
 only used at small qubit counts.  The exceptions are the three kernels
 below, einsum_1q, einsum_2q and moveaxis_kq: the engine's former
 formulations, kept as the reference for its gather-multiply-scatter kernels
-and block plans at widths where dense lifting is too slow to fuzz; and the
-four fusion passes, merge_1q, absorb_1q, normalize_2q_order and fuse_2q
-with their fuse_pipeline: the former per-gate passes, which compute every
-product afresh, kept as the bit-exact reference for the memoized ones; and
-rejection_per_shot at the end: the engine's former rejection loop, which
-runs the whole plan from |0...0> for every shot, kept as the bit-exact
-reference for the outcome-prefix memo; and the token parser after it with
-its parse_qasm: the former QASM parser, which tokenizes the whole text up
-front and parses every statement, kept as the reference for the parser that
-reads line by line and reuses each repeated statement line.
+and block plans at widths where dense lifting is too slow to fuzz;
+fuse_block_on_identity after them: the engine's former block product,
+which runs a block's gates through the kernel on an identity matrix, kept
+as the bit-exact reference for the index-lift products of gates._compose;
+and the four fusion passes, merge_1q, absorb_1q, normalize_2q_order and
+fuse_2q with their fuse_pipeline: the former per-gate passes, which compute
+every product afresh, kept as the bit-exact reference for the memoized
+ones; and rejection_per_shot at the end: the engine's former rejection
+loop, which runs the whole plan from |0...0> for every shot, kept as the
+bit-exact reference for the outcome-prefix memo; and the token parser
+after it with its parse_qasm: the former QASM parser, which tokenizes the
+whole text up front and parses every statement, kept as the reference for
+the parser that reads line by line and reuses each repeated statement
+line.
 """
 
 from __future__ import annotations
@@ -94,6 +98,32 @@ def moveaxis_kq(amps: np.ndarray, u: np.ndarray, qubits: tuple[int, ...]) -> np.
     moved = np.moveaxis(psi, src, range(k))
     res = u @ moved.reshape(1 << k, -1)
     return np.moveaxis(res.reshape(moved.shape), range(k), src).ravel()
+
+
+def _ascending(u: np.ndarray, qubits: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The same gate on its qubits in ascending order, reordered by lift_matrix."""
+    ordered = tuple(sorted(qubits))
+    return lift_matrix(u, tuple(ordered.index(q) for q in qubits), len(qubits)), ordered
+
+
+def fuse_block_on_identity(gates: list[tuple[np.ndarray, tuple[int, ...]]]) -> engine.Block:
+    """The plan entry for consecutive gates, given as (matrix, qubits) in
+    circuit order: their product on the sorted union of their qubits, built
+    by running the gates through the engine's block kernel on the 2^k x 2^k
+    identity, viewed as a 2k-qubit state whose qubit k + i is bit i of the
+    row index, i.e. qubit i of the block.  A lone gate is only reordered."""
+    qubits = tuple(sorted({q for _, qs in gates for q in qs}))
+    k = len(qubits)
+    if len(gates) == 1:
+        u = _ascending(*gates[0])[0]
+    else:
+        slot = {q: k + i for i, q in enumerate(qubits)}
+        batch = engine.StateVector._adopt(np.eye(1 << k, dtype=np.complex128).ravel())
+        for g, qs in gates:
+            g, slots = _ascending(g, tuple(slot[q] for q in qs))
+            engine._kernel_block(batch, g, *engine._block_layout(slots))
+        u = batch.amps.reshape(1 << k, 1 << k)
+    return engine.Block(qubits, u, *engine._block_layout(qubits))
 
 
 def pauli_string_dense(letters: str) -> np.ndarray:

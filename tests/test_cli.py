@@ -210,6 +210,22 @@ def test_threads_default_comes_from_env(workdir, capsys, monkeypatch):
     assert "threads" in err
 
 
+def test_option_defaults_come_from_run_config():
+    # the parser leaves options out as None, so RunConfig holds each default once
+    parser = cli_module.build_parser()
+    for argv, want in [
+            (["simulate", "--input", "c.qasm"], cli_module.RunConfig("simulate", input="c.qasm")),
+            (["prepare", "--hamiltonian", "h.txt"],
+             cli_module.RunConfig("prepare", hamiltonian="h.txt")),
+            (["filter-lcu", "--hamiltonian", "h.txt"],
+             cli_module.RunConfig("filter-lcu", hamiltonian="h.txt"))]:
+        args = parser.parse_args(argv)
+        assert all(getattr(args, k, None) is None
+                   for k in ("mode", "shots", "seed", "trotter", "m", "tail_tol", "threads"))
+        args.threads = 1
+        assert cli_module.RunConfig.from_args(args) == want
+
+
 def test_simulate_rejection_mode(workdir, tmp_path, capsys):
     path = tmp_path / "rej.json"
     code, _, _ = run_cli(capsys, "simulate", "--input",

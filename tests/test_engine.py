@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from nucsim import (Circuit, FilterAssertionError, PauliHamiltonian,
                     StateVector, TrialState, apply_1q, apply_2q, apply_dense,
                     assert_measure, build_filter_circuit, default_schedule,
                     expectation_pauli, fuse_pipeline, infer_ancilla,
-                    measure_project, run, sample)
+                    measure_project, parse_qasm, run, sample)
 from nucsim import engine
 from nucsim.engine import _as_rng, success_product
 from nucsim.errors import MmaStructureError, ProjectionError, ResourceLimitError
@@ -341,6 +342,38 @@ def test_compile_fuses_each_distinct_block_once(monkeypatch, fuse):
         want = real(block)  # the same block fused on its own
         assert got.qubits == want.qubits == tuple(sorted({q for _, qs in block for q in qs}))
         assert np.array_equal(got.u, want.u) and got[2:] == want[2:]
+
+
+def report_text(circ, mode, ancilla, hamiltonian=None) -> str:
+    """run's JSON report without wall_time_s."""
+    report = run(circ, mode, shots=256, seed=11, ancilla=ancilla, hamiltonian=hamiltonian)
+    report.wall_time_s = 0.0
+    return report.to_json()
+
+
+def report_cases():
+    """(id, circuit, modes, hamiltonian): every tests/data circuit that
+    runs, in mma mode where it has an ancilla, and a filter circuit."""
+    for path in sorted((Path(__file__).parent / "data").glob("*.qasm")):
+        circ = parse_qasm(path.read_text(encoding="utf-8"))
+        ancilla = infer_ancilla(circ)
+        yield path.name, circ, ("rejection",) if ancilla is None else ("rejection", "mma"), None
+    h = PauliHamiltonian(4, {"XIII": 0.3, "IZZI": 0.2, "IIYX": 0.1})
+    yield "chain", oracles.chain_filter_circuit(4, 2, 3), ("rejection", "mma"), h
+
+
+@pytest.mark.parametrize("fuse", [False, True])
+def test_reports_match_the_kernel_on_identity_block_products(monkeypatch, fuse):
+    for name, circ, modes, h in report_cases():
+        if fuse:
+            circ, _ = fuse_pipeline(circ)
+        for mode in modes:
+            ancilla = infer_ancilla(circ) if mode == "mma" else None
+            got = report_text(circ, mode, ancilla, h)
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_fuse_block", oracles.fuse_block_on_identity)
+                want = report_text(circ, mode, ancilla, h)
+            assert got == want, (name, mode)
 
 
 def replay_rejection(circ, shots, seed):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from nucsim import Circuit, fuse_pipeline, run
-from nucsim import fusion
+from nucsim import fusion, gates
 from nucsim.fusion import (absorb_1q, fuse_2q, gate_count, merge_1q,
                            normalize_2q_order)
 from nucsim.gates import Gate, gate_matrix
@@ -264,7 +264,7 @@ def test_lift_equals_kron(slot):
     rng = np.random.default_rng(slot)
     for v in [H, X, oracles.random_unitary(rng, 2), rng.normal(size=(2, 2)) + 0j]:
         want = np.kron(I2, v) if slot == 0 else np.kron(v, I2)
-        assert np.array_equal(fusion._lift(v, slot), want)
+        assert np.array_equal(gates._lift(v, (slot,), 2), want)
 
 
 def test_pipeline_output_is_only_payloads_and_markers():

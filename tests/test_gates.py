@@ -1,11 +1,16 @@
 """Gate matrix conventions and algebraic identities."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nucsim.gates import _N_PARAMS, _N_QUBITS, QASM_NAMES, Gate, gate_matrix
+import oracles
+from nucsim.gates import (_N_PARAMS, _N_QUBITS, QASM_NAMES, Gate, _compose, _lift,
+                          gate_matrix)
 
 ANGLES = st.floats(min_value=-2 * np.pi, max_value=2 * np.pi,
                    allow_nan=False, allow_infinity=False)
@@ -135,6 +140,67 @@ def test_relative_phase_toffolis_match_magnitudes():
                        np.abs(gate_matrix(Gate.CCX)), atol=1e-12)
     assert np.allclose(np.abs(gate_matrix(Gate.RC3X)),
                        np.abs(gate_matrix(Gate.C3X)), atol=1e-12)
+
+
+# the gate bodies of rccx and rc3x, as qelib1.inc writes them
+RCCX_BODY = ("u2(0,pi) c; u1(pi/4) c; cx b,c; u1(-pi/4) c; cx a,c; u1(pi/4) c; "
+             "cx b,c; u1(-pi/4) c; u2(0,pi) c;")
+RC3X_BODY = ("u2(0,pi) d; u1(pi/4) d; cx c,d; u1(-pi/4) d; u2(0,pi) d; cx a,d; "
+             "u1(pi/4) d; cx b,d; u1(-pi/4) d; cx a,d; u1(pi/4) d; cx b,d; "
+             "u1(-pi/4) d; u2(0,pi) d; u1(pi/4) d; cx c,d; u1(-pi/4) d; u2(0,pi) d;")
+
+
+_BODY_ANGLES = {"0": 0.0, "pi": math.pi, "pi/4": math.pi / 4, "-pi/4": -math.pi / 4}
+
+
+def body_product(body: str, n: int) -> np.ndarray:
+    """A qelib1 gate body on operands a, b, c, ... (slots 0, 1, 2, ...) as
+    one matrix: each statement lifted by oracles.lift_matrix and
+    left-multiplied in order, starting from the identity."""
+    acc = np.eye(1 << n, dtype=complex)
+    for name, params, operands in re.findall(r"(\w+)(?:\(([^)]*)\))? ([a-z,]+);", body):
+        args = tuple(_BODY_ANGLES[p] for p in params.split(",") if p)
+        slots = tuple(ord(o) - ord("a") for o in operands.split(","))
+        acc = oracles.lift_matrix(gate_matrix(QASM_NAMES[name], args), slots, n) @ acc
+    return acc
+
+
+def test_relative_phase_toffolis_are_their_qelib1_bodies():
+    # bit for bit: the all_gates.qasm reports depend on these matrices
+    assert np.array_equal(gate_matrix(Gate.RCCX), body_product(RCCX_BODY, 3))
+    assert np.array_equal(gate_matrix(Gate.RC3X), body_product(RC3X_BODY, 4))
+
+
+_ONE_QUBIT = [gate_matrix(g) for g in (Gate.H, Gate.X, Gate.S, Gate.T)]
+_TWO_QUBIT = [gate_matrix(g) for g in (Gate.CX, Gate.CZ, Gate.SWAP, Gate.CH)]
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), width=st.integers(1, 4), n_gates=st.integers(1, 11),
+       wide=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_compose_equals_the_kernel_on_identity_product(seed, width, n_gates, wide):
+    rng = np.random.default_rng(seed)
+    space = [int(q) for q in rng.choice(9, size=width, replace=False)]
+    gates = []
+    for _ in range(n_gates):
+        k = int(rng.integers(1, min(width, 2) + 1))
+        qubits = tuple(int(q) for q in rng.choice(space, size=k, replace=False))  # either order
+        named = _ONE_QUBIT if k == 1 else _TWO_QUBIT
+        u = (named[int(rng.integers(len(named)))] if rng.random() < 0.4
+             else oracles.random_unitary(rng, 1 << k))
+        gates.append((u, qubits))
+    if wide:  # one 5-qubit gate on unsorted operands
+        gates = [(oracles.random_unitary(rng, 32), tuple(int(q) for q in rng.permutation(5)))]
+    want = oracles.fuse_block_on_identity(gates)
+    qubits, got = _compose(gates)
+    assert qubits == want.qubits
+    assert np.array_equal(got, want.u)
+
+    slot = {q: i for i, q in enumerate(qubits)}
+    for u, qs in gates:
+        slots = tuple(slot[q] for q in qs)
+        assert np.array_equal(_lift(u, slots, len(qubits)),
+                              oracles.lift_matrix(u, slots, len(qubits)))
 
 
 def test_swap_and_cswap_permutations():
