@@ -10,9 +10,11 @@ The sequence is held as runs ``(instructions, count)``: ``count`` copies of
 the same instruction objects, one after another.  A flat circuit is one run
 of count 1, and the builder methods append to it.  The Trotter slices of a
 filter step are one run, so a circuit of 10^8 gates holds only its distinct
-slices.  ``instructions`` is the flat view; it expands the runs, so the
-stages from ``build_filter_circuit`` to ``run`` read ``runs`` instead and
-use :func:`walk_run` to handle a repeated run at the cost of a few copies.
+slices, and ``parse_qasm`` finds those runs again in the text.
+``instructions`` is the flat view; it expands the runs, so the stages from
+``build_filter_circuit`` or ``parse_qasm`` to ``run`` read ``runs`` instead
+and use :func:`walk_run` to handle a repeated run at the cost of a few
+copies.
 """
 
 from __future__ import annotations
@@ -84,15 +86,40 @@ class Circuit:
     def instructions(self, instrs: list[Instruction]) -> None:
         self.runs = [(instrs, 1)]
 
+    def _open_run(self) -> list[Instruction]:
+        """The run of count 1 at the end, which appends go to."""
+        if not self.runs or self.runs[-1][1] != 1:
+            self.runs.append(([], 1))
+        return self.runs[-1][0]
+
     def append_run(self, body: list[Instruction], count: int) -> None:
         """Append `count` copies of instructions already checked against
         this circuit's registers; copies of one run share their objects."""
         if not body:
             return
-        if count == 1 and self.runs and self.runs[-1][1] == 1:
-            self.runs[-1][0].extend(body)
+        if count == 1:
+            self._open_run().extend(body)
         else:
             self.runs.append((list(body), count))
+
+    def pop_last(self, n: int) -> list[Instruction]:
+        """Remove the last `n` instructions and return them as a flat list.
+        A repeated run cut inside keeps its whole copies before the cut, and
+        the rest of the copy that the cut falls in stays as a flat run."""
+        chunks = []
+        while n:
+            body, count = self.runs.pop()
+            size = len(body) * count
+            if size > n:
+                keep, rest = divmod(size - n, len(body))
+                if keep:
+                    self.append_run(body, keep)
+                self.append_run(body[:rest], 1)
+                chunks.append(body[rest:] + body * (count - keep - 1))
+                break
+            chunks.append(body * count)
+            n -= size
+        return [ins for chunk in reversed(chunks) for ins in chunk]
 
     @property
     def n_clbits(self) -> int:
@@ -144,9 +171,7 @@ class Circuit:
         if instr.gate is Gate.MEASURE:
             if instr.cbit is None or not 0 <= instr.cbit < self.n_clbits:
                 raise ValueError(f"measure target bit {instr.cbit} out of range")
-        if not self.runs or self.runs[-1][1] != 1:
-            self.runs.append(([], 1))
-        self.runs[-1][0].append(instr)
+        self._open_run().append(instr)
 
     def gate_op(self, gate: Gate, qubits: tuple[int, ...], params: tuple[float, ...] = ()) -> None:
         self.append(Instruction(gate, qubits, tuple(float(p) for p in params)))

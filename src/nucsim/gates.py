@@ -157,8 +157,7 @@ def _controlled(u: np.ndarray, n_controls: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _lift_index(slots: tuple[int, ...], n_slots: int) -> np.ndarray:
+def _slot_index(slots: tuple[int, ...], n_slots: int) -> np.ndarray:
     """Where _lift puts the entries of a matrix on `slots`: flat positions
     in the 2^n_slots square matrix, for each setting t of the other slots in
     turn.  Entry (a, b) goes to row rows[t, a] and column rows[t, b], the
@@ -175,6 +174,15 @@ def _lift_index(slots: tuple[int, ...], n_slots: int) -> np.ndarray:
     rows = spread(tuple(s for s in range(n_slots) if s not in slots))[:, None] + spread(slots)
     # left writable: ndarray.put copies a read-only index on every call
     return ((rows << n_slots)[:, :, None] + rows[:, None, :]).ravel()
+
+
+_cached_slot_index = lru_cache(maxsize=None)(_slot_index)
+
+
+def _lift_index(slots: tuple[int, ...], n_slots: int) -> np.ndarray:
+    """_slot_index, cached up to five slots, the widest gate (8 KiB an
+    index); a wider index, 8 * 4^n_slots bytes, is built for its call."""
+    return (_cached_slot_index if n_slots <= 5 else _slot_index)(slots, n_slots)
 
 
 def _lift(u: np.ndarray, slots: tuple[int, ...], n_slots: int) -> np.ndarray:
@@ -205,7 +213,11 @@ def sort_operands(u: np.ndarray, qubits: tuple[int, ...]) -> tuple[np.ndarray, t
     if all(a < b for a, b in zip(qubits, qubits[1:])):
         return u, tuple(qubits)
     ordered = sorted(qubits)
-    return _lift(u, tuple(ordered.index(q) for q in qubits), len(qubits)), tuple(ordered)
+    # slot j of the result is slot qubits.index(ordered[j]) of u: a gather,
+    # which reads a read-only u in place where ndarray.put would copy it
+    n = len(qubits)
+    index = _lift_index(tuple(qubits.index(q) for q in ordered), n)
+    return np.asarray(u, dtype=complex).take(index).reshape(1 << n, 1 << n), tuple(ordered)
 
 
 def swap_conjugate(u: np.ndarray) -> np.ndarray:

@@ -11,12 +11,21 @@ line and column.
 
 The parser tokenizes one line at a time, as it reaches the line; an
 unexpected character anywhere in the text is still the first error.  A line
-that held exactly one gate, measure, reset or barrier statement is parsed
-once per parse call: a repeat of it appends the same (frozen) instructions
-again without tokenizing it.  A statement depends only on the one qreg,
-fixed once declared, and on the cregs, which only grow, so a repeated line
-parses the same and cannot fail.  Parsing therefore costs per distinct line,
-not per gate, on the deep circuits whose evolution block repeats.
+that held exactly one gate, measure, reset or barrier statement, or no token
+at all, is parsed once per parse call: a repeat of it appends the same
+(frozen) instructions again without tokenizing it.  A statement depends
+only on the one qreg, fixed once declared, and on the cregs, which only
+grow, so a repeated line parses the same and cannot fail.  QASM 2.0 has no
+loops, so a deep circuit's Trotter slices are written out line by line; the
+parser finds them again.  When a line recurs, the distance to one of its
+last few occurrences is a candidate period, a comparison of the line texts
+confirms it, and the copies that follow are skipped at once and held as
+one repeated run of the circuit (see ``circuit``).  Only lines of the kind
+above go into a run, so a qreg or creg line, a line of several statements
+or a statement split over lines ends one.  The flat view holds the same
+instruction objects, in the same order, as a line-by-line parse.  Parsing,
+and every stage after it, therefore costs per distinct line, not per gate,
+on the deep circuits whose evolution block repeats.
 
 The emitter writes one instruction per line with angles at 17 significant
 digits, so parse(emit(parse(text))) reproduces parse(text) exactly.  It
@@ -27,8 +36,7 @@ the quantum register.  Fused C1/C2 payloads have no OpenQASM name; with
 One emit call formats each run of the circuit once and repeats its lines,
 formats each distinct instruction object once and repeats its text, and
 decomposes each distinct C2 payload once; the memos live for that call
-only.  Parsing still reads one line per gate and gives a flat circuit, one
-run of count 1: QASM 2.0 has no loops.
+only.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from collections import deque
 
 import numpy as np
 
@@ -84,9 +93,9 @@ def _tokenize(text: str, line: int) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        lines = text.split("\n")
-        self.eof = _Token("EOF", "", len(lines), len(lines[-1]) + 1)
-        self.lines = enumerate(lines, 1)  # (number, text) of the lines not yet read
+        self.lines = text.split("\n")
+        self.eof = _Token("EOF", "", len(self.lines), len(self.lines[-1]) + 1)
+        self.at = 0  # the index of the next line to read
         self.tokens: list[_Token] = []  # the tokens of the last line read
         self.pos = 0
         self.circuit: Circuit | None = None
@@ -95,11 +104,10 @@ class _Parser:
 
     def _peek(self) -> _Token:
         while self.pos >= len(self.tokens):
-            entry = next(self.lines, None)
-            if entry is None:
+            if self.at == len(self.lines):
                 return self.eof
-            number, text = entry
-            self.tokens, self.pos = _tokenize(text, number), 0
+            self.tokens, self.pos = _tokenize(self.lines[self.at], self.at + 1), 0
+            self.at += 1
         return self.tokens[self.pos]
 
     def _next(self) -> _Token:
@@ -110,8 +118,8 @@ class _Parser:
     def _error(self, message: str, tok: _Token | None = None):
         tok = tok or self._peek()
         # an unexpected character anywhere in the text is the first error
-        for number, text in self.lines:
-            _tokenize(text, number)
+        for at in range(self.at, len(self.lines)):
+            _tokenize(self.lines[at], at + 1)
         raise QasmError(message, tok.line, tok.col)
 
     def _expect(self, kind: str, text: str | None = None) -> _Token:
@@ -208,28 +216,56 @@ class _Parser:
 
     def _statements(self) -> None:
         """Parse to the end of the text.  A line that held exactly one gate,
-        measure, reset or barrier statement maps to the instructions it
-        appended, and a repeat of the line appends those same objects."""
+        measure, reset or barrier statement, or no token at all, maps to the
+        instructions it appended, and a repeat of the line appends those same
+        objects.  Where a run of such lines repeats, its later copies are
+        found by comparing texts and stand as one repeated run."""
+        lines = self.lines
         seen: dict[str, list[Instruction]] = {}
-        instrs: list[Instruction] = []  # the circuit's flat list, once it is declared
+        last: dict[str, deque[int]] = {}  # where each line of `seen` was last read, in order
+        known: dict[int, int] = {}  # period p -> a line that differs from the one p before it
         while self.pos < len(self.tokens):  # statements on the header's last line
             self._statement()
-        for number, text in self.lines:  # the iterator _peek reads lines from too
+        fence = self.at  # a run's lines start here or later: none before went into `seen`
+        while self.at < len(lines):
+            at = self.at
+            text = lines[at]
             hit = seen.get(text)
             if hit is not None:
-                instrs.extend(hit)
+                earlier = last[text]
+                begin, copies = _repeat(lines, at, earlier, fence, known)
+                if not copies:
+                    if hit:  # a blank line may come before the qreg
+                        self.circuit.append_run(hit, 1)
+                    earlier.append(at)
+                    self.at = at + 1
+                    continue
+                # lines[begin:at] and `copies` more of them, read as one run
+                period = at - begin
+                n = sum(len(seen[line]) for line in lines[begin:at])
+                if n:
+                    self.circuit.append_run(self.circuit.pop_last(n), copies + 1)
+                self.at = at + copies * period
+                for x in range(self.at - period, self.at):  # the last copy
+                    last[lines[x]].append(x)
                 continue
-            tokens = self.tokens = _tokenize(text, number)
+            self.at = at + 1
+            tokens = self.tokens = _tokenize(text, at + 1)
             self.pos = 0
-            if tokens and tokens[0].text not in ("qreg", "creg") and self.circuit is not None:
-                instrs = self.circuit.instructions
-                before = len(instrs)
+            if not tokens:
+                seen[text], last[text] = [], deque([at], _RECALLED)
+                continue
+            if tokens[0].text not in ("qreg", "creg") and self.circuit is not None:
+                flat = self.circuit._open_run()
+                before = len(flat)
                 self._statement()
                 # the statement read no further line and filled this one
                 if self.tokens is tokens and self.pos == len(tokens):
-                    seen[text] = instrs[before:]
+                    seen[text], last[text] = flat[before:], deque([at], _RECALLED)
+                    continue
             while self.pos < len(self.tokens):  # statements after another on a line
                 self._statement()
+            fence = self.at
 
     def _statement(self) -> None:
         tok = self._peek()
@@ -390,6 +426,42 @@ class _Parser:
             if q not in seen:
                 seen.append(q)
         circuit.barrier(*seen)
+
+
+# A line of a Trotter slice may recur inside the slice (a basis change and
+# its undoing, equal angles on the ancilla), so that its last occurrence is
+# not a slice back; some line recurs at most this often a slice.
+_RECALLED = 4
+
+
+def _repeat(lines: list[str], at: int, earlier: deque[int], fence: int,
+            known: dict[int, int]) -> tuple[int, int]:
+    """(begin, copies) for the latest position `begin` in `earlier`, where
+    lines[at] was read before, such that lines[begin:at] is followed by
+    `copies` >= 1 whole copies of itself; copies is 0 where none is.  Runs
+    start at `fence` or later.  `known` holds, per period, a line that
+    differs from the line that period before it, so that no stretch of text
+    is compared twice at one period."""
+    for begin in reversed(earlier):
+        if begin < fence:
+            break
+        period = at - begin
+        differs = known.get(period, -1)
+        if at <= differs < at + period:
+            continue
+        end = min(at + period, len(lines))
+        x = at + 1  # lines[at] is lines[begin]
+        while x < end and lines[x] == lines[x - period]:
+            x += 1
+        if x < at + period:
+            known[period] = x
+            continue
+        body, copies = lines[begin:at], 1
+        while lines[x:x + period] == body:
+            x += period
+            copies += 1
+        return begin, copies
+    return at, 0
 
 
 def parse_qasm(text: str) -> Circuit:

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nucsim import gates as gates_module
 from nucsim.gates import (_N_PARAMS, _N_QUBITS, QASM_NAMES, Gate, _compose, _lift,
-                          gate_matrix)
+                          gate_matrix, sort_operands)
 
 ANGLES = st.floats(min_value=-2 * np.pi, max_value=2 * np.pi,
                    allow_nan=False, allow_infinity=False)
@@ -201,6 +202,36 @@ def test_compose_equals_the_kernel_on_identity_product(seed, width, n_gates, wid
         slots = tuple(slot[q] for q in qs)
         assert np.array_equal(_lift(u, slots, len(qubits)),
                               oracles.lift_matrix(u, slots, len(qubits)))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 5))
+@settings(max_examples=60, deadline=None)
+def test_sort_operands_is_the_lift_onto_sorted_slots(seed, n):
+    rng = np.random.default_rng(seed)
+    qubits = tuple(int(q) for q in rng.choice(9, size=n, replace=False))
+    u = oracles.random_unitary(rng, 1 << n)
+    u.setflags(write=False)  # as every shared gate matrix and payload is
+    got, ordered = sort_operands(u, qubits)
+    assert ordered == tuple(sorted(qubits))
+    want = oracles.lift_matrix(u, tuple(ordered.index(q) for q in qubits), n)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_wide_reorders_leave_no_index_in_the_cache():
+    """An index for n slots takes 8 * 4^n bytes: only those of at most five
+    slots, the widest gate, are kept."""
+    cache = gates_module._cached_slot_index
+    n = 10
+    u = np.arange(4 ** n, dtype=complex).reshape(1 << n, 1 << n)
+    before = cache.cache_info().currsize
+    got, ordered = sort_operands(u, tuple(range(n - 1, -1, -1)))
+    assert cache.cache_info().currsize == before
+    # slot j of the result is slot n - 1 - j of u, for rows and columns alike
+    axes = [*range(n - 1, -1, -1), *range(2 * n - 1, n - 1, -1)]
+    want = u.reshape((2,) * (2 * n)).transpose(axes).reshape(1 << n, 1 << n)
+    assert ordered == tuple(range(n)) and np.array_equal(got, want)
+    sort_operands(oracles.random_unitary(np.random.default_rng(0), 32), (4, 2, 3, 0, 1))
+    assert cache.cache_info().currsize <= before + 1
 
 
 def test_swap_and_cswap_permutations():

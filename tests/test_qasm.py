@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nucsim import Circuit, fuse_pipeline, parse_qasm, emit_qasm, qasm
+from nucsim import (Circuit, PauliHamiltonian, TrialState, build_filter_circuit,
+                    default_schedule, emit_qasm, fuse_pipeline, parse_qasm, qasm)
 from nucsim.errors import QasmError
 from nucsim.gates import QASM_NAMES, Gate
 
@@ -428,3 +429,113 @@ def test_emit_once_per_distinct_instruction_matches_per_line(decompose, monkeypa
     assert len({id(i) for i in c.instructions}) < len(c.instructions)  # repeats to reuse
     assert emit_qasm(c, decompose=decompose) == want
     assert len(ladders) == len({id(i.matrix) for i in c.instructions if i.gate is Gate.C2})
+
+
+# ---------------------------------------------------------------------------
+# repeated runs of lines, which parse_qasm holds as repeated runs
+
+_RUN_HEAD = HEADER + "qreg q[3];\ncreg c[3];"
+_ONE = {  # a line of one statement -> the instructions it appends
+    "h q[0];": 1, "cx q[0], q[1];": 1, "rz(pi/4) q[2];": 1, "rz(0.5) q[1]; // c": 1,
+    "measure q[1] -> c[0];": 1, "measure q -> c;": 3, "reset q;": 3, "reset q[2];": 1,
+    "barrier q[0], q[2];": 1, "barrier q;": 1,
+}
+_TWO = ["h q[0]; x q[1];", "cx q[1], q[2]; rz(0.25) q[0];"]  # a fresh parse each time
+_NONE = ["", "  ", "// note"]
+_FAULTS = ["h q[0]; $", "x q[1] @", "h q[3];", "cx q[1], q[1];", "measure q[0] -> e[0];",
+           "creg d[1];"]  # the creg line fails only when repeated
+_RUN_LINE = st.one_of(st.sampled_from(sorted(_ONE)), st.sampled_from(_NONE),
+                      st.sampled_from(_TWO))
+
+
+@st.composite
+def repeated_blocks(draw):
+    """Lines in blocks repeated 1-6 times, each after 0-3 other lines; at
+    times a faulty line inside a block, or anywhere."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        lines += draw(st.lists(_RUN_LINE, max_size=3))
+        block = draw(st.lists(_RUN_LINE, min_size=1, max_size=5))
+        if draw(st.integers(0, 9)) == 0:
+            block.insert(draw(st.integers(0, len(block))), draw(st.sampled_from(_FAULTS)))
+        lines += block * draw(st.integers(1, 6))
+    if draw(st.integers(0, 5)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_FAULTS)))
+    return lines
+
+
+def _line_tags(lines):
+    """For each instruction the lines append, what it is shared with: the
+    same text's instructions for a line of one statement, nothing else."""
+    tags = []
+    for at, line in enumerate(lines):
+        if line in _ONE:
+            tags += [(line, j) for j in range(_ONE[line])]
+        elif line in _TWO:
+            tags += [(at, 0), (at, 1)]
+    return tags
+
+
+@given(lines=repeated_blocks(), crlf=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_repeated_blocks_parse_as_the_oracle_parser(lines, crlf):
+    """The same instructions, or the same first error, as the oracle parser;
+    one set of objects per distinct line of one statement."""
+    text = "\n".join([_RUN_HEAD, *lines]) + "\n"
+    if crlf:
+        text = text.replace("\n", "\r\n")
+    assert_parses_as_oracle(text)
+    try:
+        got = parse_qasm(text).instructions
+    except QasmError:
+        return
+    tags = _line_tags(lines)
+    ids = [id(ins) for ins in got]
+    assert len(ids) == len(tags)
+    assert len(set(zip(tags, ids))) == len(set(tags)) == len(set(ids))
+
+
+def test_a_repeated_creg_line_in_a_repeated_block_still_fails():
+    text = _RUN_HEAD + "\n" + "h q[0];\ncreg d[1];\nx q[1];\n" * 3
+    with pytest.raises(QasmError, match="already declared") as got:
+        parse_qasm(text)
+    assert got.value.line == 9
+    assert_parses_as_oracle(text)
+
+
+_PAULI = st.text(alphabet="IXYZ", min_size=1, max_size=4).filter(lambda p: p.strip("I"))
+
+
+@given(terms=st.lists(st.tuples(_PAULI, st.sampled_from([0.5, 1.0]) | st.floats(0.05, 1.0)),
+                      min_size=1, max_size=6),
+       steps=st.integers(1, 3), trotter=st.integers(3, 7), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=80, deadline=None)
+def test_filter_text_parses_to_one_run_per_step(terms, steps, trotter, seed):
+    """Whatever line of a Trotter slice its period is found at, each filter
+    step of an emitted filter circuit parses to one run holding at least
+    trotter - 1 slices.  Equal coefficients make lines recur inside a slice;
+    a slice made of two equal halves may parse as twice as many halves."""
+    n = len(terms[0][0])
+    padded = {p.ljust(n, "I")[:n]: c for p, c in terms}
+    h = PauliHamiltonian(n, {p: c for p, c in padded.items() if p.strip("I")})
+    basis = "".join("01"[(seed >> q) & 1] for q in range(n))
+    circuit = build_filter_circuit(h, default_schedule(0.5, steps), trotter,
+                                   TrialState.basis(basis), n)
+    (slice_len,) = {len(body) for body, count in circuit.runs if count > 1}
+    parsed = parse_qasm(emit_qasm(circuit))
+    spans = [len(body) * count for body, count in parsed.runs if count > 1]
+    assert len([span for span in spans if span >= (trotter - 1) * slice_len]) == steps
+    assert [i.key() for i in parsed.instructions] == [i.key() for i in circuit.instructions]
+
+
+def test_deep_filter_text_parses_to_about_its_built_runs():
+    """8 qubits, six steps of 50 Trotter slices, 35,000 gates: the parsed
+    runs hold at most twice the instructions of the built circuit's, a step's
+    slice once in its run and once split around it."""
+    circuit = oracles.chain_filter_circuit(7, 6, 50)
+    parsed = parse_qasm(emit_qasm(circuit))
+    assert parsed.gate_count() == circuit.gate_count() > 35000
+    assert sum(len(body) for body, _ in parsed.runs) <= \
+        2 * sum(len(body) for body, _ in circuit.runs) < 1500
+    counts = [count for _, count in parsed.runs if count > 1]
+    assert len(counts) == 6 and min(counts) >= 49

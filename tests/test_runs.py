@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 import oracles
 from nucsim import (Circuit, PauliHamiltonian, TrialState, build_filter_circuit,
-                    default_schedule, emit_qasm, fuse_pipeline, infer_ancilla, run)
+                    default_schedule, emit_qasm, fuse_pipeline, ground_state, infer_ancilla,
+                    load_hamiltonian_text, parse_qasm, run, shift_rescale)
 from nucsim import circuit as circuit_module
-from nucsim import engine, fusion
+from nucsim import cli, engine, fusion
+from nucsim.hamiltonian import format_pauli_text
 from nucsim.errors import FilterAssertionError, MmaStructureError
 from nucsim.gates import Gate
 
@@ -225,12 +227,18 @@ def test_mma_errors_after_a_repeated_run_give_flat_positions():
             engine._compile(circ, "mma", 4)
 
 
-def test_pipeline_never_expands_its_runs(monkeypatch):
-    """build -> fuse_pipeline -> run reads no flat instruction view."""
+def _count_flat_reads(monkeypatch) -> list:
+    """The circuits whose flat instruction view is read from now on."""
     reads = []
     view = circuit_module.Circuit.instructions
     monkeypatch.setattr(circuit_module.Circuit, "instructions",
                         property(lambda self: reads.append(self) or view.fget(self), view.fset))
+    return reads
+
+
+def test_pipeline_never_expands_its_runs(monkeypatch):
+    """build -> fuse_pipeline -> run reads no flat instruction view."""
+    reads = _count_flat_reads(monkeypatch)
     h = PauliHamiltonian(3, {"XII": 0.3, "ZZI": 0.2, "IYY": 0.1})
     c = build_filter_circuit(h, default_schedule(0.5, 3), 5, TrialState.basis("010"), 3)
     fused, stats = fuse_pipeline(c)
@@ -238,6 +246,28 @@ def test_pipeline_never_expands_its_runs(monkeypatch):
     for mode in ("mma", "rejection"):
         run(fused, mode, 64, 1, infer_ancilla(fused), hamiltonian=energy,
             fusion_stats=stats.to_dict())
+    assert reads == []
+
+
+def test_qasm_path_never_expands_its_runs(monkeypatch, tmp_path, capsys):
+    """emit_qasm -> parse_qasm -> fuse_pipeline -> run, and the simulate
+    command with and without fusion, read no flat instruction view."""
+    reads = _count_flat_reads(monkeypatch)
+    text = emit_qasm(oracles.chain_filter_circuit(3, 2, 6))
+    parsed = parse_qasm(text)
+    assert max(count for _, count in parsed.runs) >= 5
+    fused, stats = fuse_pipeline(parsed)
+    energy = PauliHamiltonian(4, {"ZIII": 1.0, "IXXI": 0.5})
+    for mode in ("mma", "rejection"):
+        run(fused, mode, 64, 1, infer_ancilla(parsed), hamiltonian=energy,
+            fusion_stats=stats.to_dict())
+    qasm_path, ham_path = tmp_path / "filter.qasm", tmp_path / "energy.txt"
+    qasm_path.write_text(text, encoding="utf-8")
+    ham_path.write_text(format_pauli_text(energy), encoding="utf-8")
+    for extra in ([], ["--no-fuse"]):
+        assert cli.main(["simulate", "--input", str(qasm_path), "--hamiltonian", str(ham_path),
+                         "--shots", "64", *extra]) == 0
+    capsys.readouterr()
     assert reads == []
 
 
@@ -284,3 +314,40 @@ def test_ten_million_gates_run_in_constant_memory():
     assert deep["gates"] >= 10 ** 7
     assert len(deep["probs"]) == 6 and all(0.0 < p <= 1.0 for p in deep["probs"])
     assert deep["rss_kb"] - shallow["rss_kb"] < 20 * 1024
+
+
+def test_cli_runs_a_million_gate_filter_through_qasm(tmp_path):
+    """nucsim prepare, then nucsim simulate, each in its own process, on an
+    8-qubit filter circuit of over 10^6 gates: the report, but for its wall
+    time, is that of build_filter_circuit -> fuse_pipeline -> run."""
+    n, steps, trotter = 7, 2, 4300
+    rng = np.random.default_rng(5)
+    terms = {"I" * i + "X" + "I" * (n - i - 1): float(rng.uniform(0.1, 0.2)) for i in range(n)}
+    terms.update({"I" * i + "ZZ" + "I" * (n - i - 2): 0.08 for i in range(n - 1)})
+    h = PauliHamiltonian(n, terms)
+    padded = PauliHamiltonian(n + 1, {s + "I": c for s, c in terms.items()})
+    ham, ham_padded = tmp_path / "chain.txt", tmp_path / "chain_padded.txt"
+    ham.write_text(format_pauli_text(h), encoding="utf-8")
+    ham_padded.write_text(format_pauli_text(padded), encoding="utf-8")
+    qasm_path, report_path = tmp_path / "filter.qasm", tmp_path / "report.json"
+    for argv in (["prepare", "--hamiltonian", str(ham), "--steps", str(steps),
+                  "--trotter", str(trotter), "--output", str(qasm_path)],
+                 ["simulate", "--input", str(qasm_path), "--hamiltonian", str(ham_padded),
+                  "--shots", "256", "--seed", "11", "--output", str(report_path)]):
+        proc = subprocess.run([sys.executable, "-m", "nucsim.cli", *argv],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+    got = json.loads(report_path.read_text(encoding="utf-8"))
+    got.pop("wall_time_s")
+
+    loaded = load_hamiltonian_text(ham.read_text(encoding="utf-8"))
+    gs = ground_state(loaded)
+    circuit = build_filter_circuit(shift_rescale(loaded, gs.energy),
+                                   default_schedule(gs.gap, steps), trotter,
+                                   TrialState.basis("0" * n), n)
+    assert circuit.gate_count() >= 10 ** 6
+    fused, stats = fuse_pipeline(circuit)
+    want = run(fused, "mma", 256, 11, infer_ancilla(circuit),
+               hamiltonian=load_hamiltonian_text(ham_padded.read_text(encoding="utf-8")),
+               fusion_stats=stats.to_dict())
+    assert got == without_wall_time(want)
