@@ -22,11 +22,21 @@ executors loop over, the blocks and order of a flat walk, so compile costs
 per distinct slice and the plan's size does not grow with the Trotter
 count.
 
-One kernel runs every gate and block in three passes over the state,
-allocating nothing: a strided copy gathers the amplitudes into scratch as
-one contiguous row per value of the operand bits, one small matmul
+Each distinct block becomes the cheapest plan entry of its exact
+structure.  A slot of its product whose off-diagonal couplings have a norm
+within 1e-14 acts as a control, as the ancilla does in every inner block
+of a filter step up to rounding: the matrix is stored as its diagonal
+sub-blocks, one batch axis per such slot.  One kernel, allocating nothing,
+then runs every gate and block in one of two forms.  Gathered, in three
+passes over the state: a strided copy gathers the amplitudes into scratch as
+one contiguous row per value of the operand bits, one (batched) matmul
 multiplies the rows into the live array, and a strided copy scatters the
-result back into scratch in state order.
+result back into scratch in state order.  In place, in one pass, where the
+non-diagonal operands form one run of adjacent qubits below every diagonal
+slot and the run leaves enough amplitudes below or above it: the batched
+matmul reads the state through a view and writes scratch in state order.
+The compile picks the form from the layout alone; both give the same
+bytes.
 
 Two execution modes:
 
@@ -66,7 +76,7 @@ from .circuit import Circuit, run_pieces, walk_run
 from .errors import (FilterAssertionError, MmaStructureError, ProjectionError,
                      ResourceLimitError)
 from .gates import Gate, _compose, gate_matrix, sort_operands
-from .hamiltonian import PauliHamiltonian, apply_pauli_string
+from .hamiltonian import PauliHamiltonian
 
 EPS_MMA = 1e-12          # assertion fails below this |0> probability
 _NORM_ATOL = 1e-9        # accepted state-norm drift
@@ -143,14 +153,16 @@ def _check_qubit(state: StateVector, q: int) -> None:
 
 
 # _compile packs consecutive gates into blocks on at most this many qubits.
-# On 2^16 amplitudes one gathered block costs about 0.48 ms on 2 qubits,
-# 0.56 ms on 4, 0.70 ms on 5 and 0.96 ms on 6, while building its matrix
-# costs some 20 us per gate.  In one sizing run on a 2-core host, the
-# chain16_mma circuit (1,140 fused 2q gates) ran as 280 blocks in 146 ms
-# at 3 qubits, 140 blocks in 78 ms plus 27 ms of compile at 4, 100 in
-# 70 + 37 ms at 5 and 74 in 71 + 56 ms at 6: 5 is no faster in total than
-# 4, and 4 keeps the plan's matrices at 4 KiB each.  (The median-of-7 split
-# in BENCH_4_blocks.json, a separate run, gives 66 + 23 ms at 4.)
+# On 2^16 amplitudes one gathered dense block costs about 0.48 ms on 2
+# qubits, 0.56 ms on 4, 0.70 ms on 5 and 0.96 ms on 6.  With structured
+# blocks (diagonal slots batched, in place where the layout allows), median
+# of 7 in-process on a 2-core host, compile + execute took: chain16_mma 140
+# blocks (98 in place) in 6.6 + 58.6 ms at 4 against 100 blocks in
+# 9.2 + 59.6 ms at 5 and 74 in 80.5 + 60.5 ms at 6; narrow_cli 900 blocks
+# in 8.7 + 17.1 ms at 4 against 600 in 12.5 + 11.3 ms at 5; narrow_rejection,
+# which compiles on every op, 160 blocks in 4.0 + 2.7 ms at 4 against 120
+# in 8.0 + 2.0 ms at 5.  5 is no faster in total than 4, and 4 keeps the
+# plan's matrices at 4 KiB each.
 _BLOCK_QUBITS = 4
 
 
@@ -158,43 +170,113 @@ _BLOCK_QUBITS = 4
 # width (see the module docstring).  The executors call it on each plan
 # entry; the public apply_* functions validate and then call it.
 def _kernel_block(state: StateVector, u: np.ndarray, shape: tuple[int, ...],
-                  perm: tuple[int, ...]) -> None:
-    # shape and perm come from _block_layout; u is indexed over the sorted
-    # operand qubits, sum(bit(qubits[i]) * 2^i)
+                  perm: tuple[int, ...], in_place: bool = False) -> None:
+    # shape and perm come from _block_layout, or from _in_place_layout when
+    # in_place is set; u is indexed over the sorted operand qubits,
+    # sum(bit(qubits[i]) * 2^i), with one leading axis per diagonal slot
+    # (see _plan_entry)
     a, s = state.amps, state.scratch()
-    gathered = a.reshape(shape).transpose(perm)
-    np.copyto(s.reshape(gathered.shape), gathered)
-    np.matmul(u, s.reshape(u.shape[0], -1), out=a.reshape(u.shape[0], -1))
-    np.copyto(s.reshape(shape).transpose(perm), a.reshape(gathered.shape))
+    view = a.reshape(shape).transpose(perm)
+    if in_place:
+        np.matmul(u, view, out=s.reshape(shape).transpose(perm))
+    else:
+        rows = u.shape[:-1] + (-1,)
+        np.copyto(s.reshape(view.shape), view)
+        np.matmul(u, s.reshape(rows), out=a.reshape(rows))
+        np.copyto(s.reshape(shape).transpose(perm), a.reshape(view.shape))
     state.amps, state._scratch = s, a
 
 
+# The gathering kernel's copies are slow on short inner loops: on 2^16
+# amplitudes a 4-qubit block on (1, 2, 3, 15) took 1.14 ms with the bit-0
+# axis innermost and 0.73 ms with it outermost, (1, 15) 0.80 against
+# 0.39 ms; with the 8 amplitudes of bits 0-2 innermost, (3, 9) took 0.46 ms
+# against 0.54 ms with them outermost.
+_COPY_RUN = 8
+
+
 @lru_cache(maxsize=4096)
-def _block_layout(qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """State axes for _kernel_block on ascending qubits.  Each run of
-    adjacent operand qubits is one axis of size 2^m, as are the bits between
-    runs; the bits above all operands are a leading -1 axis, so the layout
-    holds at any width.  perm puts the operand axes first, highest first,
-    then the others in state order."""
-    runs: list[list[int]] = []  # [low, high] of adjacent operands, highest first
+def _block_layout(qubits: tuple[int, ...],
+                  diag: tuple[int, ...] = ()) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """State axes for the gathering _kernel_block on ascending qubits, of
+    which diag (ascending) are diagonal slots.  Each run of adjacent operand
+    qubits of one kind, diagonal or not, is one axis of size 2^m, as are the
+    bits between runs; the bits above all operands are a leading -1 axis, so
+    the layout holds at any width.  perm puts the diagonal axes first, then
+    the other operand axes, each highest first, then the others in state
+    order, apart from those spanning under _COPY_RUN amplitudes, which go
+    first."""
+    runs: list[list] = []  # [low, high, diagonal] of adjacent operands, highest first
     for q in reversed(qubits):
-        if runs and runs[-1][0] == q + 1:
+        kind = q in diag
+        if runs and runs[-1][0] == q + 1 and runs[-1][2] == kind:
             runs[-1][0] = q
         else:
-            runs.append([q, q])
-    shape, operand, rest = [-1], [], [0]
+            runs.append([q, q, kind])
+    shape, operand, rest = [-1], ([], []), [0]
     below = None
-    for lo, hi in runs:
+    for lo, hi, kind in runs:
         if below is not None and below > hi + 1:
             rest.append(len(shape))
             shape.append(1 << (below - hi - 1))
-        operand.append(len(shape))
+        operand[kind].append(len(shape))
         shape.append(1 << (hi - lo + 1))
         below = lo
     if below:
         rest.append(len(shape))
         shape.append(1 << below)
-    return tuple(shape), tuple(operand + rest)
+    # a copy whose innermost axis spans under _COPY_RUN amplitudes runs that
+    # short loop once per element, so such axes go outermost
+    rest.sort(key=lambda ax: not 0 < shape[ax] < _COPY_RUN)
+    return tuple(shape), tuple(operand[True] + operand[False] + rest)
+
+
+# _kernel_block multiplies in place only when each matmul gets at least this
+# many columns.  On 2^16 amplitudes an 8 x 8 block diagonal in one slot above
+# its run took 1,150 us in place with 2^2 amplitudes below the run, 520 us
+# with 2^4 and 330 us with 2^6, against 430-540 us gathered; with the run at
+# bit 0, 430 us in place with 2^3 rows above it and 250 us with 2^5.  Below
+# four columns the in-place product also differs from the gathered one in
+# the last bits (the matmul takes another BLAS path).
+_IN_PLACE_COLUMNS = 32
+
+
+def _in_place_layout(qubits: tuple[int, ...], diag: tuple[int, ...]):
+    """State axes for _kernel_block to multiply in place, or None.
+
+    The operands other than the diagonal slots diag must be one run of
+    m >= 2 adjacent qubits, lo..hi, below every diagonal slot.  The view is
+    then (..., 2^m, 2^lo) in state order, or (..., rows, 2^m) with its last
+    two axes swapped when lo = 0, rows being the bits between the run and the
+    lowest diagonal slot; either matrix needs _IN_PLACE_COLUMNS columns.
+    perm puts the diagonal axes, highest first, just before the matrix axes
+    (where u's batch axes broadcast) and every other axis before them, so the
+    layout holds at any width."""
+    dense = [q for q in qubits if q not in diag]
+    if len(dense) < 2 or dense[-1] - dense[0] + 1 != len(dense) or (diag and diag[0] < dense[-1]):
+        return None
+    lo, hi = dense[0], dense[-1]
+    shape, batch, slots = [-1], [0], []
+    top = qubits[-1] + 1
+    for d in reversed(diag):
+        if top > d + 1:
+            batch.append(len(shape))
+            shape.append(1 << (top - d - 1))
+        slots.append(len(shape))
+        shape.append(2)
+        top = d
+    rows = len(shape)
+    shape.append(1 << (top - hi - 1))  # 1 when nothing lies between
+    run = len(shape)
+    shape.append(1 << (hi - lo + 1))
+    if lo:
+        if 1 << lo < _IN_PLACE_COLUMNS:
+            return None
+        shape.append(1 << lo)
+        return tuple(shape), tuple(batch + [rows] + slots + [run, run + 1])
+    if shape[rows] < _IN_PLACE_COLUMNS or not diag:  # rows would hang on the width
+        return None
+    return tuple(shape), tuple(batch + slots + [run, rows])
 
 
 def _bind(u: np.ndarray, qubits: tuple[int, ...]):
@@ -207,19 +289,82 @@ def _bind(u: np.ndarray, qubits: tuple[int, ...]):
 
 class Block(NamedTuple):
     """A plan entry: a matrix on ascending qubits, run by
-    _kernel_block(state, u, shape, perm)."""
+    _kernel_block(state, u, shape, perm, in_place)."""
     qubits: tuple[int, ...]
     u: np.ndarray
     shape: tuple[int, ...]
     perm: tuple[int, ...]
+    in_place: bool
+
+
+# A slot of a block matrix is diagonal when its off-diagonal couplings (the
+# entries whose row and column differ in that slot) have a Frobenius norm of
+# at most this, so each is at most this too.  In the filter circuits' block
+# products each sits either at or below 1.5e-16 (the ancilla, rounding of
+# an exact control) or at or above 9.6e-4.
+_DIAG_ATOL = 1e-14
+
+
+@lru_cache(maxsize=8)
+def _slot_masks(k: int) -> np.ndarray:
+    """(k, 2 * 4^k) floats: row j is 1 on the real and imaginary part of
+    each entry of a 2^k x 2^k matrix whose row and column differ in bit j.
+    Its product with the squared parts gives each slot's squared coupling
+    norm.  One product, not a comparison per entry: on narrow_rejection,
+    which compiles every op, np.abs(u) > tol cost more per block and its
+    numpy loops, used nowhere else in a run, added 0.13-0.25 MB of resident
+    code.  The product is one dot per row, the same bits under 1 and 2 BLAS
+    threads."""
+    r = np.arange(1 << k)
+    differ = (r[:, None] ^ r) >> np.arange(k)[:, None, None] & 1
+    return np.repeat(differ.reshape(k, -1), 2, axis=1).astype(np.float64)
+
+
+@lru_cache(maxsize=256)
+def _split_index(k: int, diag: tuple[int, ...]) -> np.ndarray:
+    """Flat index into a 2^k x 2^k matrix of its diagonal sub-blocks over
+    the slots diag, shape (2,) * d + (2^m, 2^m): batch bit i is slot
+    diag[i], row and column bit i the i-th other slot."""
+    dense = [j for j in range(k) if j not in diag]
+    b, r = np.arange(1 << len(diag))[:, None], np.arange(1 << len(dense))
+    rows = (sum(((b >> i) & 1) << j for i, j in enumerate(diag))
+            + sum(((r >> i) & 1) << j for i, j in enumerate(dense)))
+    flat = (rows[:, :, None] << k) + rows[:, None, :]
+    return flat.reshape((2,) * len(diag) + (len(r),) * 2)
+
+
+def _plan_entry(qubits: tuple[int, ...], u: np.ndarray) -> Block:
+    """The plan entry for a matrix u on ascending qubits.
+
+    A slot whose off-diagonal couplings have a norm within _DIAG_ATOL acts
+    as a control, as the ancilla of a filter step's inner blocks does up to
+    rounding: u is stored as its diagonal sub-blocks, shape (2,) * d +
+    (2^m, 2^m) for d such slots and m = k - d, dropping those couplings, and
+    the kernel batches its matmul over them.  Where _in_place_layout allows,
+    the kernel multiplies in place."""
+    k = len(qubits)
+    coupling = _slot_masks(k) @ np.square(u.view(np.float64)).ravel()
+    diag = tuple(j for j, c in enumerate(coupling.tolist()) if c <= _DIAG_ATOL ** 2)
+    if diag:
+        u = u.ravel().take(_split_index(k, diag))
+    return Block(qubits, u, *_entry_layout(qubits, tuple(qubits[j] for j in diag)))
+
+
+@lru_cache(maxsize=4096)
+def _entry_layout(qubits: tuple[int, ...], diag: tuple[int, ...]):
+    """(shape, perm, in_place) of a plan entry on qubits with diagonal
+    slots diag: in place where _in_place_layout allows, else gathered."""
+    layout = _in_place_layout(qubits, diag)
+    if layout is not None:
+        return (*layout, True)
+    return (*_block_layout(qubits, diag), False)
 
 
 def _fuse_block(gates: list[tuple[np.ndarray, tuple[int, ...]]]) -> Block:
     """The plan entry for consecutive gates, given as (matrix, qubits) in
     circuit order: their product on the sorted union of their qubits
-    (gates._compose), with that union's kernel layout."""
-    qubits, u = _compose(gates)
-    return Block(qubits, u, *_block_layout(qubits))
+    (gates._compose), as _plan_entry lays it out."""
+    return _plan_entry(*_compose(gates))
 
 
 def apply_1q(state: StateVector, u: np.ndarray, q: int) -> StateVector:
@@ -316,9 +461,20 @@ def bitstring(index: int, n_qubits: int) -> str:
     return format(index, f"0{n_qubits}b")[::-1]
 
 
+def _probabilities(state: StateVector) -> np.ndarray:
+    """|psi|^2, written into the first half of the state's scratch buffer,
+    idle between kernels; the second half holds the squared imaginary parts."""
+    n, amps = state.amps.shape[0], state.amps
+    square = state.scratch().view(np.float64)
+    np.square(amps.real, out=square[:n])
+    np.square(amps.imag, out=square[n:])
+    return np.add(square[:n], square[n:], out=square[:n])
+
+
 def _cdf(state: StateVector) -> np.ndarray:
-    """Cumulative basis-state probabilities, the table _draw inverts."""
-    return np.cumsum(state.amps.real ** 2 + state.amps.imag ** 2)
+    """Cumulative basis-state probabilities, the table _draw inverts; the
+    table is the only allocation."""
+    return np.cumsum(_probabilities(state))
 
 
 def _draw(cum: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
@@ -349,22 +505,126 @@ def sample(state: StateVector, shots: int, seed) -> dict[str, int]:
     return _tally(_draw(_cdf(state), shots, rng), state.n_qubits)
 
 
+def _runs(labels: list) -> tuple[list[int], list]:
+    """Axes of a C-ordered table indexed by bits 0..len(labels)-1: each
+    maximal run of adjacent bits with equal labels is one axis.  Returns
+    (sizes, labels) of the axes, highest first."""
+    sizes: list[int] = []
+    kinds: list = []
+    for label in reversed(labels):
+        if kinds and kinds[-1] == label:
+            sizes[-1] *= 2
+        else:
+            sizes.append(2)
+            kinds.append(label)
+    return sizes, kinds
+
+
+@lru_cache(maxsize=64)
+def _parity(w: int) -> np.ndarray:
+    """(-1)^popcount(j) for j < 2^w."""
+    out = np.ones(1)
+    for _ in range(w):
+        out = np.concatenate([out, -out])
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _sign_axes(bits: int, mask: int) -> tuple[list[int], list[int]]:
+    """Axes of a table over `bits` bits by runs of bits in and out of mask,
+    and the axes in it."""
+    sizes, kinds = _runs([mask >> i & 1 for i in range(bits)])
+    return sizes, [i for i, k in enumerate(kinds) if k]
+
+
+def _signed_sum(table: np.ndarray, bits: int, mask: int) -> float:
+    """sum_j table[j] (-1)^popcount(j & mask) for a float table over `bits`
+    bits: one einsum onto the bits of mask, one against their parity table."""
+    sizes, signed = _sign_axes(bits, mask)
+    small = np.einsum(table.reshape(sizes), list(range(len(sizes))), signed)
+    if not signed:
+        return float(small)
+    return float(np.einsum("i,i->", small.ravel(), _parity(mask.bit_count())))
+
+
+@lru_cache(maxsize=1024)
+def _pair_axes(n: int, flip: int, union: int):
+    """For expectation_pauli's flip group: the axes of 2^n amplitudes (and a
+    last real/imaginary axis) by runs of qubits alike in flip, in union and
+    in being the top flipped qubit t; the index of the amplitudes with bit t
+    0, and of their partners (bit t 1, the other flipped axes reversed);
+    einsum labels of the axes left and of the union axes; the union axes'
+    shape."""
+    top = flip.bit_length() - 1
+    sizes, kinds = _runs([(q == top, flip >> q & 1, union >> q & 1) for q in range(n)])
+    low = tuple(0 if t else slice(None) for t, _, _ in kinds)
+    high = tuple(1 if t else slice(None, None, -1) if f else slice(None) for t, f, _ in kinds)
+    axes = [i for i, (t, _, _) in enumerate(kinds) if not t]
+    out = [i for i, (_, _, z) in enumerate(kinds) if z]
+    return [*sizes, 2], low, high, axes, out, [sizes[i] for i in out]
+
+
+_FLIPS = str.maketrans("IXYZ", "0110")
+_SIGNS = str.maketrans("IXYZ", "0011")
+
+
 def expectation_pauli(state: StateVector, h: PauliHamiltonian) -> float:
-    """<psi|H|psi> via one scratch vector reused across terms."""
+    """<psi|H|psi>, reading the amplitudes in place.
+
+    A Pauli word with flip mask f (its X and Y qubits), sign mask z (its Y
+    and Z qubits) and y Y letters acts as
+    (P psi)[i] = (-i)^y (-1)^popcount(i & z) psi[i ^ f].  Terms are grouped by
+    flip mask.  The Z-only terms (f = 0) share one |psi|^2 table, written into
+    the state's idle scratch buffer, and each sums it with its signs.  A
+    flip group pairs each amplitude a = psi[i] whose top flipped bit t is 0
+    with b = psi[i ^ f], read through a view of the amplitudes with the other
+    flipped axes reversed; <P> is 2 (-1)^(y // 2) times the signed sum of
+    Re(conj(a) b) for even y, of Im(conj(a) b) for odd y.  Those products are
+    summed onto the group's sign qubits (t aside) into tables in the scratch
+    buffer, which each term then sums with its signs.  Every reduction is an
+    einsum, in one fixed order on one thread; nothing of the state's size is
+    allocated (a term's signed table takes 8 * 2^popcount(z) bytes).
+    """
     if h.n_qubits > state.n_qubits:
         raise ValueError("operator acts on more qubits than the state")
     if not h.is_hermitian():
         raise ValueError("operator is not Hermitian")
-    amps, scratch = state.amps, state.scratch()
-    a, b = amps.view(np.float64).reshape(-1, 2), scratch.view(np.float64).reshape(-1, 2)
-    acc = 0j
+    n, amps = state.n_qubits, state.amps
+    groups: dict[int, list[tuple[int, int, complex]]] = {}
     for letters, coeff in h.sorted_terms():
-        np.copyto(scratch, amps)
-        apply_pauli_string(scratch, letters)
-        # <amps|scratch>, real and imaginary parts
-        re = np.einsum("ij,ij->", a, b)
-        im = np.einsum("i,i->", a[:, 0], b[:, 1]) - np.einsum("i,i->", a[:, 1], b[:, 0])
-        acc += coeff * complex(re, im)
+        flip = int(letters.translate(_FLIPS)[::-1], 2)
+        sign = int(letters.translate(_SIGNS)[::-1], 2)
+        groups.setdefault(flip, []).append((sign, letters.count("Y"), coeff))
+    tables = state.scratch().view(np.float64)  # 2^(n+1) floats, idle between kernels
+    acc = 0j
+    for flip in sorted(groups):
+        terms = groups[flip]
+        if not flip:
+            p = _probabilities(state)
+            for sign, _, coeff in terms:
+                acc += coeff * _signed_sum(p, n, sign)
+            continue
+        union = 0
+        for sign, _, _ in terms:
+            union |= sign
+        union &= ~(1 << (flip.bit_length() - 1))  # bit t of i is 0 throughout
+        sizes, low, high, axes, out, shape = _pair_axes(n, flip, union)
+        view = amps.view(np.float64).reshape(sizes)  # last axis: real, imaginary
+        a, b = view[low], view[high]
+        size = 1 << union.bit_count()  # at most 2^(n-1): three fit in the scratch
+        re, im, im_rest = (tables[j * size:(j + 1) * size].reshape(shape) for j in range(3))
+        if any(y % 2 == 0 for _, y, _ in terms):
+            reim = len(sizes) - 1
+            np.einsum(a, axes + [reim], b, axes + [reim], out, out=re)
+        if any(y % 2 for _, y, _ in terms):
+            np.einsum(a[..., 0], axes, b[..., 1], axes, out, out=im)
+            np.einsum(a[..., 1], axes, b[..., 0], axes, out, out=im_rest)
+            np.subtract(im, im_rest, out=im)
+        qubits = [q for q in range(n) if union >> q & 1]
+        for sign, y, coeff in terms:
+            mask = sum(1 << i for i, q in enumerate(qubits) if sign >> q & 1)
+            part = _signed_sum(im if y % 2 else re, len(qubits), mask)
+            acc += coeff * (2.0 * (-1) ** (y // 2) * part)
     if abs(acc.imag) > 1e-9:
         raise ValueError(f"expectation has imaginary part {acc.imag:.3e}")
     return float(acc.real)
@@ -567,7 +827,7 @@ def _run_segment(state: StateVector, segment: list[tuple[list[Block], int]]) -> 
     for blocks, count in segment:
         for _ in range(count):
             for b in blocks:
-                _kernel_block(state, b.u, b.shape, b.perm)
+                _kernel_block(state, b.u, b.shape, b.perm, b.in_place)
 
 
 def _execute_mma(state: StateVector, plan: Plan) -> list[float]:

@@ -8,9 +8,10 @@ only used at small qubit counts.  The exceptions are the three kernels
 below, einsum_1q, einsum_2q and moveaxis_kq: the engine's former
 formulations, kept as the reference for its gather-multiply-scatter kernels
 and block plans at widths where dense lifting is too slow to fuzz;
-fuse_block_on_identity after them: the engine's former block product,
+block_product_on_identity after them: the engine's former block product,
 which runs a block's gates through the kernel on an identity matrix, kept
-as the bit-exact reference for the index-lift products of gates._compose;
+as the bit-exact reference for the index-lift products of gates._compose,
+with fuse_block_on_identity, which lays that product out as a plan entry;
 and the four fusion passes, merge_1q, absorb_1q, normalize_2q_order and
 fuse_2q with their fuse_pipeline: the former per-gate passes, which compute
 every product afresh, kept as the bit-exact reference for the memoized
@@ -20,7 +21,8 @@ bit-exact reference for the outcome-prefix memo; and the token parser
 after it with its parse_qasm: the former QASM parser, which tokenizes the
 whole text up front and parses every statement, kept as the reference for
 the parser that reads line by line and reuses each repeated statement
-line.
+line.  expectation_per_term is the engine's former energy loop, one state
+copy per term, kept as the reference for the grouped, copy-free one.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from nucsim.circuit import Circuit, Instruction
 from nucsim.errors import QasmError
 from nucsim.fusion import FusionStats, PassStats, gate_count
 from nucsim.gates import QASM_NAMES, Gate, gate_matrix, swap_conjugate
-from nucsim.hamiltonian import PauliHamiltonian
+from nucsim.hamiltonian import PauliHamiltonian, apply_pauli_string
 from nucsim.projection import TrialState, build_filter_circuit, default_schedule
 
 _PAULI = {
@@ -106,24 +108,45 @@ def _ascending(u: np.ndarray, qubits: tuple[int, ...]) -> tuple[np.ndarray, tupl
     return lift_matrix(u, tuple(ordered.index(q) for q in qubits), len(qubits)), ordered
 
 
-def fuse_block_on_identity(gates: list[tuple[np.ndarray, tuple[int, ...]]]) -> engine.Block:
-    """The plan entry for consecutive gates, given as (matrix, qubits) in
-    circuit order: their product on the sorted union of their qubits, built
-    by running the gates through the engine's block kernel on the 2^k x 2^k
-    identity, viewed as a 2k-qubit state whose qubit k + i is bit i of the
-    row index, i.e. qubit i of the block.  A lone gate is only reordered."""
+def block_product_on_identity(gates: list[tuple[np.ndarray, tuple[int, ...]]]
+                              ) -> tuple[tuple[int, ...], np.ndarray]:
+    """Consecutive gates, given as (matrix, qubits) in circuit order, as
+    (qubits, product) on the sorted union of their qubits, built by running
+    the gates through the engine's block kernel on the 2^k x 2^k identity,
+    viewed as a 2k-qubit state whose qubit k + i is bit i of the row index,
+    i.e. qubit i of the block.  A lone gate is only reordered."""
     qubits = tuple(sorted({q for _, qs in gates for q in qs}))
     k = len(qubits)
     if len(gates) == 1:
-        u = _ascending(*gates[0])[0]
-    else:
-        slot = {q: k + i for i, q in enumerate(qubits)}
-        batch = engine.StateVector._adopt(np.eye(1 << k, dtype=np.complex128).ravel())
-        for g, qs in gates:
-            g, slots = _ascending(g, tuple(slot[q] for q in qs))
-            engine._kernel_block(batch, g, *engine._block_layout(slots))
-        u = batch.amps.reshape(1 << k, 1 << k)
-    return engine.Block(qubits, u, *engine._block_layout(qubits))
+        return qubits, _ascending(*gates[0])[0]
+    slot = {q: k + i for i, q in enumerate(qubits)}
+    batch = engine.StateVector._adopt(np.eye(1 << k, dtype=np.complex128).ravel())
+    for g, qs in gates:
+        g, slots = _ascending(g, tuple(slot[q] for q in qs))
+        engine._kernel_block(batch, g, *engine._block_layout(slots))
+    return qubits, batch.amps.reshape(1 << k, 1 << k)
+
+
+def fuse_block_on_identity(gates: list[tuple[np.ndarray, tuple[int, ...]]]) -> engine.Block:
+    """The plan entry for consecutive gates: block_product_on_identity's
+    product, laid out by the engine's own _plan_entry."""
+    return engine._plan_entry(*block_product_on_identity(gates))
+
+
+def expectation_per_term(amps: np.ndarray, h: PauliHamiltonian) -> float:
+    """<psi|H|psi> by the engine's former loop: one copy of the state per
+    term, the Pauli word applied to it in place by apply_pauli_string, and
+    <psi|P psi> reduced with einsum."""
+    scratch = np.empty_like(amps)
+    a, b = amps.view(np.float64).reshape(-1, 2), scratch.view(np.float64).reshape(-1, 2)
+    acc = 0j
+    for letters, coeff in h.sorted_terms():
+        np.copyto(scratch, amps)
+        apply_pauli_string(scratch, letters)
+        re = np.einsum("ij,ij->", a, b)
+        im = np.einsum("i,i->", a[:, 0], b[:, 1]) - np.einsum("i,i->", a[:, 1], b[:, 0])
+        acc += coeff * complex(re, im)
+    return float(acc.real)
 
 
 def pauli_string_dense(letters: str) -> np.ndarray:
@@ -499,7 +522,7 @@ def rejection_per_shot(circuit: Circuit, shots: int, seed: int,
     def run_segment(i: int) -> None:
         for blocks, count in plan.segments[i]:
             for b in blocks * count:
-                engine._kernel_block(state, b.u, b.shape, b.perm)
+                engine._kernel_block(state, b.u, b.shape, b.perm, b.in_place)
 
     for _ in range(shots):
         state.restart()

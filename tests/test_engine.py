@@ -258,12 +258,105 @@ def test_block_plan_packs_consecutive_gates():
     c.h(5)  # after a reset: a block of its own
     plan = engine._compile(c, "mma", 5)
     # cx on (0,1), (1,2), (2,3); cx on (3,4), (4,5), then h(4); nothing
-    # between the measure and the reset; h(5)
+    # between the measure and the reset; h(5).  Qubit 0 and qubit 3 are
+    # each only the control of the first cx of their block, so slot 0 of
+    # both blocks is diagonal: each is stored as two sub-blocks on its
+    # other 3 and 2 qubits.  h couples both values of its qubit.
     assert [[b.u.shape for b in seg] for seg in oracles.plan_blocks(plan)] == \
-        [[(16, 16), (8, 8)], [], [(2, 2)]]
+        [[(2, 8, 8), (2, 4, 4)], [], [(2, 2)]]
     assert [[b.qubits for b in seg] for seg in oracles.plan_blocks(plan)] == \
         [[(0, 1, 2, 3), (3, 4, 5)], [], [(5,)]]
     assert plan.points == [(5, 0), (5, None)]
+
+
+def block_diagonal_unitary(rng, k, diag, noise):
+    """A random 2^k x 2^k unitary that acts as a control on the slots diag:
+    one random unitary on the other slots per value of those, plus a random
+    coupling of modulus at most `noise` between every pair of rows and
+    columns that differ in a slot of diag."""
+    dense = [j for j in range(k) if j not in diag]
+    blocks = [oracles.random_unitary(rng, 1 << len(dense)) for _ in range(1 << len(diag))]
+
+    def split(i):  # (value of the diag slots, value of the others)
+        return (sum(((i >> j) & 1) << t for t, j in enumerate(diag)),
+                sum(((i >> j) & 1) << t for t, j in enumerate(dense)))
+
+    u = np.empty((1 << k, 1 << k), dtype=complex)
+    for r in range(1 << k):
+        for c in range(1 << k):
+            (br, rr), (bc, cc) = split(r), split(c)
+            if br == bc:
+                u[r, c] = blocks[br][rr, cc]
+            else:
+                u[r, c] = noise * rng.random() * np.exp(2j * np.pi * rng.random())
+    return u
+
+
+def structured_layout(rng, n):
+    """Ascending qubits and the diagonal ones among them: half the time at
+    random, half the time a run with the diagonal slots above it, placed
+    where the kernel multiplies in place."""
+    k = int(rng.integers(1, engine._BLOCK_QUBITS + 1))
+    d = int(rng.integers(0, min(2, k) + 1))
+    if rng.random() < 0.5:
+        qubits = tuple(sorted(int(q) for q in rng.choice(n, size=k, replace=False)))
+        diag = tuple(sorted(int(j) for j in rng.choice(k, size=d, replace=False)))
+        return qubits, diag
+    m = k - d
+    lo = int(rng.choice([0, *range(5, n - k + 1)])) if n - k >= 5 else 0
+    above = list(range(lo + m, n))
+    if len(above) < d:
+        return structured_layout(rng, n)
+    slots = sorted(int(q) for q in rng.choice(above, size=d, replace=False))
+    qubits = tuple(range(lo, lo + m)) + tuple(slots)
+    return qubits, tuple(range(m, k))
+
+
+def run_entry(block, amps):
+    s = state_of(amps.copy())  # the kernel reuses the input as scratch
+    engine._kernel_block(s, *block[1:])
+    return s.amps
+
+
+@given(n=st.integers(6, 16), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_structured_blocks_match_the_dense_block(n, seed):
+    rng = np.random.default_rng(seed)
+    qubits, diag = structured_layout(rng, n)
+    k = len(qubits)
+    u = block_diagonal_unitary(rng, k, diag, 1e-16)
+    amps = oracles.random_state(rng, 2 ** n)
+    entry = engine._plan_entry(qubits, u)
+    # each diagonal slot is one batch axis of the stored sub-blocks
+    assert entry.u.shape == (2,) * len(diag) + (1 << (k - len(diag)),) * 2
+    got = run_entry(entry, amps)
+    assert np.max(np.abs(got - oracles.moveaxis_kq(amps, u, qubits))) <= 1e-12
+    if entry.in_place:  # the in-place product must be the gathered one, bit for bit
+        slots = tuple(qubits[j] for j in diag)
+        gathered = entry._replace(shape=engine._block_layout(qubits, slots)[0],
+                                  perm=engine._block_layout(qubits, slots)[1], in_place=False)
+        assert np.array_equal(got, run_entry(gathered, amps))
+    if diag:  # a coupling of 1e-12 across a diagonal slot keeps the slot dense
+        j = diag[int(rng.integers(len(diag)))]
+        r = int(rng.integers(1 << k))
+        coupled = u.copy()
+        coupled[r, r ^ (1 << j)] += 1e-12
+        entry = engine._plan_entry(qubits, coupled)
+        assert entry.u.shape == (2,) * (len(diag) - 1) + (1 << (k - len(diag) + 1),) * 2
+        got = run_entry(entry, amps)
+        assert np.max(np.abs(got - oracles.moveaxis_kq(amps, coupled, qubits))) <= 1e-12
+
+
+def test_filter_blocks_run_in_place():
+    # 8 spins + ancilla 8: only the blocks on (5, 6, 7, 8) keep 2^5
+    # amplitudes below their run of non-diagonal qubits (on the others the
+    # run starts at qubit 1 or 3, or a diagonal slot lies inside it), so
+    # they alone multiply in place: dense, or diagonal in qubits 7 and 8
+    circ, _ = fuse_pipeline(oracles.chain_filter_circuit(8, 2, 2))
+    plan = engine._compile(circ, "mma", 8)
+    entries = [b for seg in oracles.plan_blocks(plan) for b in seg]
+    assert {(b.qubits, b.u.shape) for b in entries if b.in_place} == \
+        {((5, 6, 7, 8), (16, 16)), ((5, 6, 7, 8), (2, 2, 4, 4))}
 
 
 def executed(circ):
@@ -635,6 +728,41 @@ def test_expectation_rejects_bad_operators():
         expectation_pauli(StateVector(1), PauliHamiltonian(2, {"ZZ": 1.0}))
 
 
+@given(n=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_expectation_matches_per_term_copies_and_dense(n, seed):
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(1, n + 1))  # narrower than the state: a padded ancilla
+    words = {"".join(rng.choice(list("IXYZ"), width)) for _ in range(int(rng.integers(1, 12)))}
+    h = PauliHamiltonian(width, {w: float(rng.normal()) for w in words})
+    amps = oracles.random_state(rng, 2 ** n)
+    got = expectation_pauli(state_of(amps.copy()), h)
+    assert abs(got - oracles.expectation_per_term(amps, h)) <= 1e-12
+    dense = np.kron(np.eye(2 ** (n - width)), h.dense())
+    assert abs(got - float(np.real(np.vdot(amps, dense @ amps)))) <= 1e-12
+
+
+def test_expectation_allocates_no_state_vector():
+    n = 16
+    rng = np.random.default_rng(17)
+    terms = {"".join(rng.choice(list("IXYZ"), n)): 0.1 for _ in range(6)}
+    terms.update({"I" * i + "XZY" + "I" * (n - 3 - i): 0.2 for i in range(0, n - 3, 4)})
+    terms.update({"I" * i + "ZZ" + "I" * (n - 2 - i): 0.3 for i in range(n - 1)})
+    h = PauliHamiltonian(n, terms)
+    s = state_of(oracles.random_state(rng, 2 ** n))
+    s.scratch()  # a state that has run a kernel holds its scratch buffer
+    tracemalloc.start()
+    try:
+        expectation_pauli(s, h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one complex vector is 1 MiB, the former per-term copy; a term's
+    # signed table takes 8 bytes per value of its Y/Z qubits, at most 2^9
+    # values here
+    assert peak < 16 * 2 ** n // 8
+
+
 def test_success_product_is_left_to_right():
     probs = [0.29602, 0.48617, 0.69349, 0.74823, 0.73060, 0.77238, 0.93470, 0.95811]
     out = 1.0
@@ -739,12 +867,15 @@ def test_infer_ancilla():
 
 def test_plan_replays_public_kernels_bit_for_bit():
     # The plan runs the first six gates as one 16x16 block and
-    # rz(2); cx(1,3); ry(3) as one 8x8 block, so `==` against the per-gate
-    # replay is not guaranteed by design; it holds for this circuit, whose
-    # first block acts on |0000> (the matmul returns one column of the block
-    # matrix exactly) and whose second block puts a diagonal and a
-    # permutation gate before its one rotation.  The block plan itself is
-    # guarded, within 1e-12, by test_block_plan_matches_per_gate_replay.
+    # s(2); cx(1,3); ry(3) as one block on (1, 2, 3), so `==` against the
+    # per-gate replay is not guaranteed by design; it holds for this
+    # circuit, whose first block acts on |0000> (the matmul returns one
+    # column of the block matrix exactly) and whose second block puts a
+    # phase gate with entries 1 and i and a permutation gate before its one
+    # rotation, so each entry of its product is a rotation entry times 1 or
+    # i, exactly.  (A general phase, rz, rounds differently in the product
+    # than in two kernels.)  The block plan itself is guarded, within
+    # 1e-12, by test_block_plan_matches_per_gate_replay.
     c = Circuit(4, [("c", 1), ("r", 4)])
     c.h(0)
     c.rx(0.4, 1)
@@ -755,7 +886,7 @@ def test_plan_replays_public_kernels_bit_for_bit():
     c.measure(3, 0)
     c.barrier()
     c.reset(3)
-    c.rz(0.2, 2)
+    c.s(2)
     c.cx(1, 3)
     c.ry(0.5, 3)
     c.measure(3, 0)
@@ -773,12 +904,15 @@ def test_plan_replays_public_kernels_bit_for_bit():
     apply_dense(s, gate_matrix(Gate.CCX), (0, 1, 3))
     apply_1q(s, gate_matrix(Gate.RY, (0.9,)), 3)
     probs = [assert_measure(s, 3)]
-    apply_1q(s, gate_matrix(Gate.RZ, (0.2,)), 2)
+    apply_1q(s, gate_matrix(Gate.S), 2)
     apply_2q(s, gate_matrix(Gate.CX), 1, 3)
     apply_1q(s, gate_matrix(Gate.RY, (0.5,)), 3)
     probs.append(assert_measure(s, 3))
     assert report.assert_probs == probs
     assert report.energy == expectation_pauli(s, h)
+    planned = StateVector(4)
+    engine._execute_mma(planned, engine._compile(c, "mma", 3))
+    assert np.array_equal(planned.amps, s.amps)
 
 
 def test_mma_structure_validation():
@@ -1085,23 +1219,30 @@ _LIBRARY_RUN = """
 import json
 from nucsim import (PauliHamiltonian, TrialState, build_filter_circuit, default_schedule,
                     fuse_pipeline, run)
-n = 14
-terms = {"I" * i + "X" + "I" * (n - 1 - i): 0.12 + 0.01 * i for i in range(n)}
-terms.update({"I" * i + "ZZ" + "I" * (n - 2 - i): 0.08 for i in range(n - 1)})
-h = PauliHamiltonian(n, terms)
-circuit = build_filter_circuit(h, default_schedule(0.5, 2), 2, TrialState.basis("0" * n), n)
-fused, _ = fuse_pipeline(circuit)
-padded = PauliHamiltonian(n + 1, {s + "I": c for s, c in terms.items()})
-report = run(fused, "mma", 64, 9, n, hamiltonian=padded)
-print(json.dumps({"n_qubits": report.n_qubits, "energy": report.energy.hex(),
-                  "assert_probs": [p.hex() for p in report.assert_probs]}))
+from nucsim.engine import _compile
+out = []
+for n in (14, 15):
+    terms = {"I" * i + "X" + "I" * (n - 1 - i): 0.12 + 0.01 * i for i in range(n)}
+    terms.update({"I" * i + "ZZ" + "I" * (n - 2 - i): 0.08 for i in range(n - 1)})
+    terms.update({"I" * i + "YY" + "I" * (n - 2 - i): 0.03 for i in range(0, n - 1, 3)})
+    h = PauliHamiltonian(n, terms)
+    circuit = build_filter_circuit(h, default_schedule(0.5, 2), 2, TrialState.basis("0" * n), n)
+    fused, _ = fuse_pipeline(circuit)
+    padded = PauliHamiltonian(n + 1, {s + "I": c for s, c in terms.items()})
+    report = run(fused, "mma", 64, 9, n, hamiltonian=padded)
+    in_place = sum(b.in_place for seg in _compile(fused, "mma", n).segments
+                   for blocks, _ in seg for b in blocks)
+    out.append({"n_qubits": report.n_qubits, "energy": report.energy.hex(),
+                "assert_probs": [p.hex() for p in report.assert_probs], "in_place": in_place})
+print(json.dumps(out))
 """
 
 
 def test_library_run_identical_across_blas_thread_counts():
-    # 2^15 amplitudes: from about 2^14 a BLAS dot product splits across
-    # threads, so probabilities and energies reduced by one would differ
-    # in the last bits between these two runs
+    # 2^15 and 2^16 amplitudes: from about 2^14 a BLAS dot product splits
+    # across threads, so probabilities and energies reduced by one would
+    # differ in the last bits between these two runs; both chains run
+    # blocks in place and energy terms with X, Y and Z flips
     outs = []
     for blas_threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
@@ -1109,5 +1250,6 @@ def test_library_run_identical_across_blas_thread_counts():
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outs.append(json.loads(proc.stdout))
-    assert outs[0]["n_qubits"] == 15
+    assert [case["n_qubits"] for case in outs[0]] == [15, 16]
+    assert all(case["in_place"] > 0 for case in outs[0])  # blocks multiplied in place
     assert outs[0] == outs[1]
