@@ -32,7 +32,7 @@ measure q -> r;
 def main() -> None:
     circuit = parse_qasm(SOURCE)
     print(f"parsed {circuit.n_qubits} qubits, "
-          f"{len(circuit.instructions)} instructions")
+          f"{circuit.instruction_count()} instructions")
 
     mma = run(circuit, "mma", shots=2000, seed=7, ancilla=1)
     print("\nmma mode")

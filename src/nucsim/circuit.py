@@ -11,10 +11,10 @@ the same instruction objects, one after another.  A flat circuit is one run
 of count 1, and the builder methods append to it.  The Trotter slices of a
 filter step are one run, so a circuit of 10^8 gates holds only its distinct
 slices, and ``parse_qasm`` finds those runs again in the text.
-``instructions`` is the flat view; it expands the runs, so the stages from
-``build_filter_circuit`` or ``parse_qasm`` to ``run`` read ``runs`` instead
-and use :func:`walk_run` to handle a repeated run at the cost of a few
-copies.
+``instructions`` is a read-only flat view, expanded from the runs on each
+read, so the stages from ``build_filter_circuit`` or ``parse_qasm`` to
+``run`` read ``runs`` instead and use :func:`walk_run` to handle a repeated
+run at the cost of a few copies.
 """
 
 from __future__ import annotations
@@ -71,20 +71,10 @@ class Circuit:
         self.runs: list[tuple[list[Instruction], int]] = []
 
     @property
-    def instructions(self) -> list[Instruction]:
-        """The flat instruction list.  A circuit that holds a repeated run is
-        first expanded, in place, into one run of count 1, so the list is the
-        circuit's own and edits to it are edits to the circuit."""
-        if len(self.runs) != 1 or self.runs[0][1] != 1:
-            flat: list[Instruction] = []
-            for body, count in self.runs:
-                flat += body * count
-            self.runs = [(flat, 1)]
-        return self.runs[0][0]
-
-    @instructions.setter
-    def instructions(self, instrs: list[Instruction]) -> None:
-        self.runs = [(instrs, 1)]
+    def instructions(self) -> tuple[Instruction, ...]:
+        """The flat instruction sequence, expanded from the runs on each
+        read; the circuit itself is left as it is."""
+        return tuple(ins for body, count in self.runs for _ in range(count) for ins in body)
 
     def _open_run(self) -> list[Instruction]:
         """The run of count 1 at the end, which appends go to."""

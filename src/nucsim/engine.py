@@ -35,8 +35,9 @@ result back into scratch in state order.  In place, in one pass, where the
 non-diagonal operands form one run of adjacent qubits below every diagonal
 slot and the run leaves enough amplitudes below or above it: the batched
 matmul reads the state through a view and writes scratch in state order.
-The compile picks the form from the layout alone; both give the same
-bytes.
+One cached walk, ``_layout``, groups the bits into axes for both forms and
+gives the in-place order where the layout allows it; the compile picks the
+form from that alone, and both give the same bytes.
 
 Two execution modes:
 
@@ -75,7 +76,7 @@ import numpy as np
 from .circuit import Circuit, run_pieces, walk_run
 from .errors import (FilterAssertionError, MmaStructureError, ProjectionError,
                      ResourceLimitError)
-from .gates import Gate, _compose, gate_matrix, sort_operands
+from .gates import Gate, _compose, _lift_index, gate_matrix, sort_operands
 from .hamiltonian import PauliHamiltonian
 
 EPS_MMA = 1e-12          # assertion fails below this |0> probability
@@ -171,8 +172,8 @@ _BLOCK_QUBITS = 4
 # entry; the public apply_* functions validate and then call it.
 def _kernel_block(state: StateVector, u: np.ndarray, shape: tuple[int, ...],
                   perm: tuple[int, ...], in_place: bool = False) -> None:
-    # shape and perm come from _block_layout, or from _in_place_layout when
-    # in_place is set; u is indexed over the sorted operand qubits,
+    # shape and perm come from _layout: its gathered perm, or its in-place
+    # perm when in_place is set; u is indexed over the sorted operand qubits,
     # sum(bit(qubits[i]) * 2^i), with one leading axis per diagonal slot
     # (see _plan_entry)
     a, s = state.amps, state.scratch()
@@ -195,42 +196,6 @@ def _kernel_block(state: StateVector, u: np.ndarray, shape: tuple[int, ...],
 _COPY_RUN = 8
 
 
-@lru_cache(maxsize=4096)
-def _block_layout(qubits: tuple[int, ...],
-                  diag: tuple[int, ...] = ()) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """State axes for the gathering _kernel_block on ascending qubits, of
-    which diag (ascending) are diagonal slots.  Each run of adjacent operand
-    qubits of one kind, diagonal or not, is one axis of size 2^m, as are the
-    bits between runs; the bits above all operands are a leading -1 axis, so
-    the layout holds at any width.  perm puts the diagonal axes first, then
-    the other operand axes, each highest first, then the others in state
-    order, apart from those spanning under _COPY_RUN amplitudes, which go
-    first."""
-    runs: list[list] = []  # [low, high, diagonal] of adjacent operands, highest first
-    for q in reversed(qubits):
-        kind = q in diag
-        if runs and runs[-1][0] == q + 1 and runs[-1][2] == kind:
-            runs[-1][0] = q
-        else:
-            runs.append([q, q, kind])
-    shape, operand, rest = [-1], ([], []), [0]
-    below = None
-    for lo, hi, kind in runs:
-        if below is not None and below > hi + 1:
-            rest.append(len(shape))
-            shape.append(1 << (below - hi - 1))
-        operand[kind].append(len(shape))
-        shape.append(1 << (hi - lo + 1))
-        below = lo
-    if below:
-        rest.append(len(shape))
-        shape.append(1 << below)
-    # a copy whose innermost axis spans under _COPY_RUN amplitudes runs that
-    # short loop once per element, so such axes go outermost
-    rest.sort(key=lambda ax: not 0 < shape[ax] < _COPY_RUN)
-    return tuple(shape), tuple(operand[True] + operand[False] + rest)
-
-
 # _kernel_block multiplies in place only when each matmul gets at least this
 # many columns.  On 2^16 amplitudes an 8 x 8 block diagonal in one slot above
 # its run took 1,150 us in place with 2^2 amplitudes below the run, 520 us
@@ -241,50 +206,43 @@ def _block_layout(qubits: tuple[int, ...],
 _IN_PLACE_COLUMNS = 32
 
 
-def _in_place_layout(qubits: tuple[int, ...], diag: tuple[int, ...]):
-    """State axes for _kernel_block to multiply in place, or None.
+@lru_cache(maxsize=4096)
+def _layout(qubits: tuple[int, ...], diag: tuple[int, ...] = ()):
+    """State axes for _kernel_block on ascending qubits, of which diag
+    (ascending) are diagonal slots: (shape, gathered perm, in-place perm or
+    None).
 
-    The operands other than the diagonal slots diag must be one run of
-    m >= 2 adjacent qubits, lo..hi, below every diagonal slot.  The view is
-    then (..., 2^m, 2^lo) in state order, or (..., rows, 2^m) with its last
-    two axes swapped when lo = 0, rows being the bits between the run and the
-    lowest diagonal slot; either matrix needs _IN_PLACE_COLUMNS columns.
-    perm puts the diagonal axes, highest first, just before the matrix axes
-    (where u's batch axes broadcast) and every other axis before them, so the
-    layout holds at any width."""
-    dense = [q for q in qubits if q not in diag]
-    if len(dense) < 2 or dense[-1] - dense[0] + 1 != len(dense) or (diag and diag[0] < dense[-1]):
-        return None
-    lo, hi = dense[0], dense[-1]
-    shape, batch, slots = [-1], [0], []
-    top = qubits[-1] + 1
-    for d in reversed(diag):
-        if top > d + 1:
-            batch.append(len(shape))
-            shape.append(1 << (top - d - 1))
-        slots.append(len(shape))
-        shape.append(2)
-        top = d
-    rows = len(shape)
-    shape.append(1 << (top - hi - 1))  # 1 when nothing lies between
-    run = len(shape)
-    shape.append(1 << (hi - lo + 1))
-    if lo:
-        if 1 << lo < _IN_PLACE_COLUMNS:
-            return None
-        shape.append(1 << lo)
-        return tuple(shape), tuple(batch + [rows] + slots + [run, run + 1])
-    if shape[rows] < _IN_PLACE_COLUMNS or not diag:  # rows would hang on the width
-        return None
-    return tuple(shape), tuple(batch + slots + [run, rows])
+    Each diagonal slot is one axis of size 2, each run of adjacent other
+    operands one axis of size 2^m, as are the bits between them; the bits
+    above all operands are a leading -1 axis, so the layout holds at any
+    width.  The gathered perm puts the diagonal axes first, then the other
+    operand axes, each highest first, then the others in state order, apart
+    from those spanning under _COPY_RUN amplitudes, which go first.
 
-
-def _bind(u: np.ndarray, qubits: tuple[int, ...]):
-    """_kernel_block's arguments (u, shape, perm) for a gate matrix on the
-    given qubits.  Unsorted operands are sorted and the matrix reindexed to
-    match (SWAP conjugation for a reversed pair)."""
-    u, qubits = sort_operands(u, qubits)
-    return (u, *_block_layout(qubits))
+    The kernel multiplies in place where the other operands are one run of
+    m >= 2 qubits below every diagonal slot and the matrix gets
+    _IN_PLACE_COLUMNS columns: the 2^lo amplitudes below the run, or, with
+    the run at bit 0, the rows between it and the lowest diagonal slot (the
+    run axis and that one swapped).  The in-place perm puts the diagonal
+    axes just before those two (where u's batch axes broadcast) and every
+    other axis before them."""
+    sizes, kinds = _runs([("slot", q) if q in diag else "run" if q in qubits else None
+                          for q in range(qubits[-1] + 1)])
+    shape = (-1, *sizes)
+    slots = [ax for ax, kind in enumerate(kinds, 1) if kind not in ("run", None)]
+    dense = [ax for ax, kind in enumerate(kinds, 1) if kind == "run"]
+    rest = [0] + [ax for ax, kind in enumerate(kinds, 1) if kind is None]
+    # a copy whose innermost axis spans under _COPY_RUN amplitudes runs that
+    # short loop once per element, so such axes go outermost
+    rest.sort(key=lambda ax: not 0 < shape[ax] < _COPY_RUN)
+    in_place = None
+    if len(dense) == 1 and shape[dense[0]] >= 4 and dense[0] > max(slots, default=0):
+        run = dense[0]
+        cols = run + 1 if run + 1 < len(shape) else run - 1
+        if shape[cols] >= _IN_PLACE_COLUMNS:  # the -1 axis never is
+            in_place = tuple([ax for ax in range(run) if ax != cols and ax not in slots]
+                             + slots + [run, cols])
+    return shape, tuple(slots + dense + rest), in_place
 
 
 class Block(NamedTuple):
@@ -320,19 +278,6 @@ def _slot_masks(k: int) -> np.ndarray:
     return np.repeat(differ.reshape(k, -1), 2, axis=1).astype(np.float64)
 
 
-@lru_cache(maxsize=256)
-def _split_index(k: int, diag: tuple[int, ...]) -> np.ndarray:
-    """Flat index into a 2^k x 2^k matrix of its diagonal sub-blocks over
-    the slots diag, shape (2,) * d + (2^m, 2^m): batch bit i is slot
-    diag[i], row and column bit i the i-th other slot."""
-    dense = [j for j in range(k) if j not in diag]
-    b, r = np.arange(1 << len(diag))[:, None], np.arange(1 << len(dense))
-    rows = (sum(((b >> i) & 1) << j for i, j in enumerate(diag))
-            + sum(((r >> i) & 1) << j for i, j in enumerate(dense)))
-    flat = (rows[:, :, None] << k) + rows[:, None, :]
-    return flat.reshape((2,) * len(diag) + (len(r),) * 2)
-
-
 def _plan_entry(qubits: tuple[int, ...], u: np.ndarray) -> Block:
     """The plan entry for a matrix u on ascending qubits.
 
@@ -340,24 +285,18 @@ def _plan_entry(qubits: tuple[int, ...], u: np.ndarray) -> Block:
     as a control, as the ancilla of a filter step's inner blocks does up to
     rounding: u is stored as its diagonal sub-blocks, shape (2,) * d +
     (2^m, 2^m) for d such slots and m = k - d, dropping those couplings, and
-    the kernel batches its matmul over them.  Where _in_place_layout allows,
-    the kernel multiplies in place."""
+    the kernel batches its matmul over them.  The entry keeps _layout's
+    in-place perm where there is one, else its gathered perm."""
     k = len(qubits)
     coupling = _slot_masks(k) @ np.square(u.view(np.float64)).ravel()
-    diag = tuple(j for j, c in enumerate(coupling.tolist()) if c <= _DIAG_ATOL ** 2)
+    diag = [j for j, c in enumerate(coupling.tolist()) if c <= _DIAG_ATOL ** 2]
     if diag:
-        u = u.ravel().take(_split_index(k, diag))
-    return Block(qubits, u, *_entry_layout(qubits, tuple(qubits[j] for j in diag)))
-
-
-@lru_cache(maxsize=4096)
-def _entry_layout(qubits: tuple[int, ...], diag: tuple[int, ...]):
-    """(shape, perm, in_place) of a plan entry on qubits with diagonal
-    slots diag: in place where _in_place_layout allows, else gathered."""
-    layout = _in_place_layout(qubits, diag)
-    if layout is not None:
-        return (*layout, True)
-    return (*_block_layout(qubits, diag), False)
+        # the sub-block for each setting of the diagonal slots, highest first
+        dense = tuple(j for j in range(k) if j not in diag)
+        u = u.ravel().take(_lift_index(dense, k)).reshape(
+            (2,) * len(diag) + (1 << len(dense),) * 2)
+    shape, gathered, in_place = _layout(qubits, tuple(qubits[j] for j in diag))
+    return Block(qubits, u, shape, in_place or gathered, in_place is not None)
 
 
 def _fuse_block(gates: list[tuple[np.ndarray, tuple[int, ...]]]) -> Block:
@@ -373,7 +312,7 @@ def apply_1q(state: StateVector, u: np.ndarray, q: int) -> StateVector:
     _check_qubit(state, q)
     if u.shape != (2, 2):
         raise ValueError("matrix must be 2x2")
-    _kernel_block(state, u, *_block_layout((q,)))
+    _kernel_block(state, u, *_layout((q,))[:2])
     return state
 
 
@@ -389,7 +328,7 @@ def apply_2q(state: StateVector, u: np.ndarray, p: int, q: int) -> StateVector:
         raise ValueError("qubits must be ordered p < q")
     if u.shape != (4, 4):
         raise ValueError("matrix must be 4x4")
-    _kernel_block(state, u, *_block_layout((p, q)))
+    _kernel_block(state, u, *_layout((p, q))[:2])
     return state
 
 
@@ -397,13 +336,16 @@ def apply_dense(state: StateVector, u: np.ndarray, qubits: tuple[int, ...]) -> S
     """Apply a dense k-qubit matrix on arbitrary distinct qubits (slot 0 of
     the matrix is the first listed qubit)."""
     k = len(qubits)
+    if not k:
+        raise ValueError("need at least one qubit")
     if len(set(qubits)) != k:
         raise ValueError(f"duplicate qubit in {qubits}")
     if u.shape != (1 << k, 1 << k):
         raise ValueError(f"matrix must be {1 << k}x{1 << k}")
     for q in qubits:
         _check_qubit(state, q)
-    _kernel_block(state, *_bind(u, qubits))
+    u, qubits = sort_operands(u, qubits)
+    _kernel_block(state, u, *_layout(qubits)[:2])
     return state
 
 
@@ -878,7 +820,7 @@ def _execute_rejection(state: StateVector, plan: Plan, shots: int,
             else:  # a reset found |1>
                 # measured, not 1 - p0, which cancels when P(1) is tiny
                 _project(state.amps, q, 1, _branch_probability(state.amps, q, 1))
-                _kernel_block(state, _X, *_block_layout((q,)))
+                _kernel_block(state, _X, *_layout((q,))[:2])
             _run_segment(state, segments[i + 1])
         at = prefix
 

@@ -181,7 +181,11 @@ _cached_slot_index = lru_cache(maxsize=None)(_slot_index)
 
 def _lift_index(slots: tuple[int, ...], n_slots: int) -> np.ndarray:
     """_slot_index, cached up to five slots, the widest gate (8 KiB an
-    index); a wider index, 8 * 4^n_slots bytes, is built for its call."""
+    index); a wider index, 8 * 4^n_slots bytes, is built for its call.
+
+    Read the other way, it also splits: u.ravel().take(index) on a 2^n_slots
+    square matrix gives, for each setting t of the other slots, the
+    sub-block on `slots` (engine._plan_entry's diagonal sub-blocks)."""
     return (_cached_slot_index if n_slots <= 5 else _slot_index)(slots, n_slots)
 
 

@@ -61,13 +61,16 @@ class FilterSchedule:
     @classmethod
     def from_json(cls, text: str) -> "FilterSchedule":
         data = json.loads(text)
-        if not isinstance(data, dict) or "steps" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("steps"), list):
             raise ValueError('schedule JSON must be {"steps": [...]}')
         steps = []
         for entry in data["steps"]:
-            if "t" not in entry:
+            if not isinstance(entry, dict) or "t" not in entry:
                 raise ValueError('each schedule step needs a "t" key')
-            steps.append((float(entry["t"]), float(entry.get("delta", 0.0))))
+            try:
+                steps.append((float(entry["t"]), float(entry.get("delta", 0.0))))
+            except TypeError:
+                raise ValueError(f"schedule step {entry} needs numbers for t and delta") from None
         return cls(tuple(steps))
 
 

@@ -20,7 +20,9 @@ loops, so a deep circuit's Trotter slices are written out line by line; the
 parser finds them again.  When a line recurs, the distance to one of its
 last few occurrences is a candidate period, a comparison of the line texts
 confirms it, and the copies that follow are skipped at once and held as
-one repeated run of the circuit (see ``circuit``).  Only lines of the kind
+one repeated run of the circuit (see ``circuit``); a shorter repeat that
+starts inside a longer run found before it is read line by line instead of
+cutting that run.  Only lines of the kind
 above go into a run, so a qreg or creg line, a line of several statements
 or a statement split over lines ends one.  The flat view holds the same
 instruction objects, in the same order, as a line-by-line parse.  Parsing,
@@ -224,6 +226,7 @@ class _Parser:
         seen: dict[str, list[Instruction]] = {}
         last: dict[str, deque[int]] = {}  # where each line of `seen` was last read, in order
         known: dict[int, int] = {}  # period p -> a line that differs from the one p before it
+        found: list[tuple[int, int]] = []  # (first, end) lines of each run so far, in order
         while self.pos < len(self.tokens):  # statements on the header's last line
             self._statement()
         fence = self.at  # a run's lines start here or later: none before went into `seen`
@@ -234,6 +237,8 @@ class _Parser:
             if hit is not None:
                 earlier = last[text]
                 begin, copies = _repeat(lines, at, earlier, fence, known)
+                if copies and _cuts_longer(found, begin, (copies + 1) * (at - begin)):
+                    copies = 0  # cut, a run of two copies would go flat
                 if not copies:
                     if hit:  # a blank line may come before the qreg
                         self.circuit.append_run(hit, 1)
@@ -246,6 +251,7 @@ class _Parser:
                 if n:
                     self.circuit.append_run(self.circuit.pop_last(n), copies + 1)
                 self.at = at + copies * period
+                found.append((begin, self.at))
                 for x in range(self.at - period, self.at):  # the last copy
                     last[lines[x]].append(x)
                 continue
@@ -462,6 +468,17 @@ def _repeat(lines: list[str], at: int, earlier: deque[int], fence: int,
             copies += 1
         return begin, copies
     return at, 0
+
+
+def _cuts_longer(found: list[tuple[int, int]], begin: int, span: int) -> bool:
+    """Whether a run of `span` lines from `begin` starts inside a longer run
+    of `found`, whose ends ascend."""
+    for first, end in reversed(found):
+        if end <= begin:
+            return False
+        if first < begin and span < end - first:
+            return True
+    return False
 
 
 def parse_qasm(text: str) -> Circuit:

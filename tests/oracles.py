@@ -123,7 +123,7 @@ def block_product_on_identity(gates: list[tuple[np.ndarray, tuple[int, ...]]]
     batch = engine.StateVector._adopt(np.eye(1 << k, dtype=np.complex128).ravel())
     for g, qs in gates:
         g, slots = _ascending(g, tuple(slot[q] for q in qs))
-        engine._kernel_block(batch, g, *engine._block_layout(slots))
+        engine._kernel_block(batch, g, *engine._layout(slots)[:2])
     return qubits, batch.amps.reshape(1 << k, 1 << k)
 
 
@@ -297,7 +297,7 @@ def flat_copy(circuit: Circuit) -> Circuit:
     """The same circuit as one run of count 1, its runs expanded here, not
     by the package; `circuit` itself is left as it is."""
     out = circuit.copy_empty()
-    out.instructions = [ins for body, count in circuit.runs for _ in range(count) for ins in body]
+    out.append_run([ins for body, count in circuit.runs for _ in range(count) for ins in body], 1)
     return out
 
 
@@ -323,10 +323,17 @@ def chain_filter_circuit(n_spins: int, steps: int, trotter: int) -> Circuit:
 # per-gate fusion passes: every matrix product computed afresh
 
 
-def _push(circuit: Circuit, ins: Instruction) -> int:
-    # instructions come from an already validated circuit; skip re-checks
-    circuit.instructions.append(ins)
-    return len(circuit.instructions) - 1
+def _push(dest: list[Instruction], ins: Instruction) -> int:
+    dest.append(ins)
+    return len(dest) - 1
+
+
+def _output(circuit: Circuit, dest: list[Instruction]) -> Circuit:
+    """A pass's output: `circuit`'s registers and the instructions in dest,
+    which come from an already validated circuit, so are not re-checked."""
+    out = circuit.copy_empty()
+    out.append_run(dest, 1)
+    return out
 
 
 def _c1(qubit: int, matrix: np.ndarray) -> Instruction:
@@ -354,8 +361,7 @@ def merge_1q(circuit: Circuit) -> Circuit:
     Lone single-qubit gates also become C1, so downstream passes and the
     pipeline contract see a uniform payload representation.
     """
-    out = circuit.copy_empty()
-    dest = out.instructions
+    dest: list[Instruction] = []
     # qubit -> [slot in dest, accumulated matrix]
     pending: dict[int, list] = {}
 
@@ -369,16 +375,16 @@ def merge_1q(circuit: Circuit) -> Circuit:
             q = ins.qubits[0]
             run = pending.get(q)
             if run is None:
-                pending[q] = [_push(out, ins), ins.resolved_matrix()]
+                pending[q] = [_push(dest, ins), ins.resolved_matrix()]
             else:
                 run[1] = ins.resolved_matrix() @ run[1]
         else:
             for q in ins.qubits:
                 flush(q)
-            _push(out, ins)
+            dest.append(ins)
     for q in list(pending):
         flush(q)
-    return out
+    return _output(circuit, dest)
 
 
 def absorb_1q(circuit: Circuit) -> Circuit:
@@ -397,7 +403,6 @@ def absorb_1q(circuit: Circuit) -> Circuit:
 
 
 def _absorb_sweep(circuit: Circuit) -> tuple[Circuit, bool]:
-    out = circuit.copy_empty()
     dest: list[Instruction | None] = []
     last: dict[int, int] = {}
     changed = False
@@ -430,8 +435,7 @@ def _absorb_sweep(circuit: Circuit) -> tuple[Circuit, bool]:
         here = len(dest) - 1
         for q in ins.qubits:
             last[q] = here
-    out.instructions.extend(i for i in dest if i is not None)
-    return out, changed
+    return _output(circuit, [i for i in dest if i is not None]), changed
 
 
 def normalize_2q_order(circuit: Circuit) -> Circuit:
@@ -440,12 +444,12 @@ def normalize_2q_order(circuit: Circuit) -> Circuit:
     A gate on (b, a) with a < b becomes a C2 on (a, b) whose matrix is the
     original conjugated by SWAP (index permutation 0,2,1,3).
     """
-    out = circuit.copy_empty()
+    dest: list[Instruction] = []
     for ins in circuit.instructions:
         if ins.is_gate and len(ins.qubits) == 2 and ins.qubits[0] > ins.qubits[1]:
             ins = _c2((ins.qubits[1], ins.qubits[0]), swap_conjugate(ins.resolved_matrix()))
-        _push(out, ins)
-    return out
+        dest.append(ins)
+    return _output(circuit, dest)
 
 
 def fuse_2q(circuit: Circuit) -> Circuit:
@@ -454,8 +458,7 @@ def fuse_2q(circuit: Circuit) -> Circuit:
     Lone two-qubit gates become C2 as well, completing the pipeline's
     payload-only output contract.
     """
-    out = circuit.copy_empty()
-    dest = out.instructions
+    dest: list[Instruction] = []
     # ordered pair -> [slot in dest, accumulated matrix]
     pending: dict[tuple[int, int], list] = {}
 
@@ -475,15 +478,15 @@ def fuse_2q(circuit: Circuit) -> Circuit:
             flush_touching(pair, keep=pair)
             run = pending.get(pair)
             if run is None:
-                pending[pair] = [_push(out, ins), ins.resolved_matrix()]
+                pending[pair] = [_push(dest, ins), ins.resolved_matrix()]
             else:
                 run[1] = ins.resolved_matrix() @ run[1]
         else:
             flush_touching(ins.qubits)
-            _push(out, ins)
+            dest.append(ins)
     for pair in list(pending):
         flush(pair)
-    return out
+    return _output(circuit, dest)
 
 
 def fuse_pipeline(circuit: Circuit) -> tuple[Circuit, FusionStats]:
@@ -536,7 +539,7 @@ def rejection_per_shot(circuit: Circuit, shots: int, seed: int,
                 break
             else:  # a reset found |1>
                 engine._project(state.amps, q, 1, engine._branch_probability(state.amps, q, 1))
-                engine._kernel_block(state, engine._X, *engine._block_layout((q,)))
+                engine._kernel_block(state, engine._X, *engine._layout((q,))[:2])
         else:
             run_segment(-1)
             accepted += 1

@@ -113,7 +113,7 @@ def test_copy_empty_preserves_layout():
     d = c.copy_empty()
     assert d.n_qubits == 3
     assert d.cregs == [("c", 2), ("r", 3)]
-    assert d.instructions == []
+    assert d.instructions == ()
     assert c.instructions  # original untouched
 
 

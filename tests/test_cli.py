@@ -361,6 +361,15 @@ def test_prepare_respects_explicit_schedule_and_e0(workdir, tmp_path, capsys):
     assert json.loads(out)["filter_steps"] == 2
 
 
+def test_prepare_with_a_malformed_schedule_exits_2(workdir, tmp_path, capsys):
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps({"steps": [{"t": None}]}), encoding="utf-8")
+    code, _, err = run_cli(capsys, "prepare", "--hamiltonian", str(workdir / "pair.txt"),
+                           "--schedule", str(sched), "--output", str(tmp_path / "s.qasm"))
+    assert code == 2
+    assert "Traceback" not in err and "needs numbers" in err
+
+
 def test_prepare_without_schedule_or_steps_exits_2(workdir, capsys):
     code, _, err = run_cli(capsys, "prepare", "--hamiltonian",
                            str(workdir / "pair.txt"))

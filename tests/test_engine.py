@@ -121,11 +121,12 @@ def test_apply_dense_matches_oracle():
 
 # Every gate runs through the one gathered kernel at every width.  The
 # engine's former einsum kernels and the dense oracle check it at every
-# operand position through the plan's binder.
+# operand position through apply_dense, which sorts the operands and takes
+# the gathered perm of engine._layout.
 
 def bound_apply(u, qubits, amps):
     s = state_of(amps.copy())  # the kernel reuses the input as scratch
-    engine._kernel_block(s, *engine._bind(u, qubits))
+    apply_dense(s, u, qubits)
     return s.amps
 
 
@@ -332,9 +333,8 @@ def test_structured_blocks_match_the_dense_block(n, seed):
     got = run_entry(entry, amps)
     assert np.max(np.abs(got - oracles.moveaxis_kq(amps, u, qubits))) <= 1e-12
     if entry.in_place:  # the in-place product must be the gathered one, bit for bit
-        slots = tuple(qubits[j] for j in diag)
-        gathered = entry._replace(shape=engine._block_layout(qubits, slots)[0],
-                                  perm=engine._block_layout(qubits, slots)[1], in_place=False)
+        gathered = entry._replace(perm=engine._layout(qubits, tuple(qubits[j] for j in diag))[1],
+                                  in_place=False)
         assert np.array_equal(got, run_entry(gathered, amps))
     if diag:  # a coupling of 1e-12 across a diagonal slot keeps the slot dense
         j = diag[int(rng.integers(len(diag)))]
@@ -345,6 +345,43 @@ def test_structured_blocks_match_the_dense_block(n, seed):
         assert entry.u.shape == (2,) * (len(diag) - 1) + (1 << (k - len(diag) + 1),) * 2
         got = run_entry(entry, amps)
         assert np.max(np.abs(got - oracles.moveaxis_kq(amps, coupled, qubits))) <= 1e-12
+
+
+def test_every_layout_runs_in_place_exactly_where_the_rule_allows():
+    """Every 1-4 ascending operands on 12 qubits with every subset of them
+    diagonal.  _layout gives an in-place perm exactly when the other
+    operands are one run lo..hi of at least two qubits below every diagonal
+    slot and the matrix gets _IN_PLACE_COLUMNS columns: the 2^lo amplitudes
+    below the run, or, for lo = 0, the rows between the run and the lowest
+    diagonal slot.  Each in-place kernel gives the gathered kernel's bytes."""
+    n, columns = 12, engine._IN_PLACE_COLUMNS
+    rng = np.random.default_rng(1212)
+    amps = oracles.random_state(rng, 2 ** n)
+    layouts = in_place = 0
+    for k in range(1, 5):
+        for qubits in itertools.combinations(range(n), k):
+            for d in range(k + 1):
+                for diag in itertools.combinations(qubits, d):
+                    layouts += 1
+                    shape, gathered, perm = engine._layout(qubits, diag)
+                    dense = [q for q in qubits if q not in diag]
+                    run = len(dense) >= 2 and dense[-1] - dense[0] + 1 == len(dense) \
+                        and all(q > dense[-1] for q in diag)
+                    if not run:
+                        rule = False
+                    elif dense[0]:
+                        rule = 1 << dense[0] >= columns
+                    else:
+                        rule = bool(diag) and 1 << (diag[0] - dense[-1] - 1) >= columns
+                    assert (perm is not None) == rule, (qubits, diag)
+                    if perm is None:
+                        continue
+                    in_place += 1
+                    m = 1 << len(dense)
+                    u = rng.standard_normal((2,) * d + (m, m, 2)).view(complex)[..., 0]
+                    got = run_entry((qubits, u, shape, perm, True), amps)
+                    assert np.array_equal(got, run_entry((qubits, u, shape, gathered), amps))
+    assert (layouts, in_place) == (9968, 79)
 
 
 def test_filter_blocks_run_in_place():
@@ -547,6 +584,8 @@ def test_kernel_validation():
         apply_2q(s, np.eye(4, dtype=complex), 1, 0)
     with pytest.raises(ValueError):
         apply_2q(s, np.eye(2, dtype=complex), 0, 1)
+    with pytest.raises(ValueError, match="at least one qubit"):  # not a 1x1 "gate"
+        apply_dense(s, np.full((1, 1), 2.0, dtype=complex), ())
 
 
 def test_kernels_recycle_two_buffers():

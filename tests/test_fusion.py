@@ -390,7 +390,7 @@ def test_passes_match_per_gate_reference(seed, shared):
     picks = rng.choice(len(pool), size=int(rng.integers(4, 16)), p=weights / weights.sum())
     body = [pool[k] for k in picks] * int(rng.integers(1, 5))
     c = Circuit(n, [("c", 2)])
-    c.instructions.extend(body if shared else [oracles.fresh_copy(i) for i in body])
+    c.append_run(body if shared else [oracles.fresh_copy(i) for i in body], 1)
 
     current = c
     for fn in (merge_1q, absorb_1q, normalize_2q_order, fuse_2q):
@@ -415,7 +415,7 @@ def test_passes_drop_only_the_gates_they_fold(seed):
     pool = _payload_pool(rng, n)
     picks = rng.choice(len(pool), size=int(rng.integers(0, 40)))
     c = Circuit(n, [("c", 2)])
-    c.instructions.extend(pool[k] for k in picks)
+    c.append_run([pool[k] for k in picks], 1)
     current = c
     for fn in (merge_1q, absorb_1q, normalize_2q_order, fuse_2q):
         out = fn(current)

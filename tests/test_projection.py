@@ -67,10 +67,11 @@ def test_schedule_json_round_trip():
     # delta defaults to zero when omitted
     implicit = FilterSchedule.from_json('{"steps": [{"t": 2.0}]}')
     assert implicit.steps == ((2.0, 0.0),)
-    with pytest.raises(ValueError):
-        FilterSchedule.from_json('{"steps": [{"delta": 0.1}]}')
-    with pytest.raises(ValueError):
-        FilterSchedule.from_json('{"times": []}')
+    for bad in ('{"steps": [{"delta": 0.1}]}', '{"times": []}', '{"steps": [1.0]}',
+                '{"steps": [{"t": null}]}', '{"steps": [{"t": 1.0, "delta": [0]}]}',
+                '{"steps": 5}'):
+        with pytest.raises(ValueError):
+            FilterSchedule.from_json(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -420,7 +420,7 @@ def test_emit_once_per_distinct_instruction_matches_per_line(decompose, monkeypa
         c, _ = fuse_pipeline(c)
     # every line formatted on its own: each instruction and payload a new object
     fresh = c.copy_empty()
-    fresh.instructions = [oracles.fresh_copy(i) for i in c.instructions]
+    fresh.append_run([oracles.fresh_copy(i) for i in c.instructions], 1)
     want = emit_qasm(fresh, decompose=decompose)
     ladders = []
     decompose_c2 = qasm.decompose_c2
@@ -509,6 +509,10 @@ _PAULI = st.text(alphabet="IXYZ", min_size=1, max_size=4).filter(lambda p: p.str
 @given(terms=st.lists(st.tuples(_PAULI, st.sampled_from([0.5, 1.0]) | st.floats(0.05, 1.0)),
                       min_size=1, max_size=6),
        steps=st.integers(1, 3), trotter=st.integers(3, 7), seed=st.integers(0, 2 ** 16))
+# three 44-line slices, each opening with one 8-line block twice: the slice
+# period is found a line late, covering two copies, and the 8-line block
+# recurs inside the last one; it must not cut that run flat
+@example(terms=[("IX", 0.5), ("IZ", 0.5), ("XX", 0.5), ("XY", 0.5)], steps=1, trotter=3, seed=0)
 @settings(max_examples=80, deadline=None)
 def test_filter_text_parses_to_one_run_per_step(terms, steps, trotter, seed):
     """Whatever line of a Trotter slice its period is found at, each filter

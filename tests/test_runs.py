@@ -232,7 +232,7 @@ def _count_flat_reads(monkeypatch) -> list:
     reads = []
     view = circuit_module.Circuit.instructions
     monkeypatch.setattr(circuit_module.Circuit, "instructions",
-                        property(lambda self: reads.append(self) or view.fget(self), view.fset))
+                        property(lambda self: reads.append(self) or view.fget(self)))
     return reads
 
 
@@ -271,7 +271,7 @@ def test_qasm_path_never_expands_its_runs(monkeypatch, tmp_path, capsys):
     assert reads == []
 
 
-def test_flat_view_expands_in_place_and_edits_the_circuit():
+def test_flat_view_leaves_the_runs_unchanged():
     c = Circuit(2)
     c.h(0)
     body = list(c.runs[0][0])
@@ -279,10 +279,11 @@ def test_flat_view_expands_in_place_and_edits_the_circuit():
     c.x(1)
     assert [count for _, count in c.runs] == [1, 3, 1]
     assert (c.gate_count(), c.counts_by_width(), c.instruction_count()) == (8, {1: 8}, 8)
+    runs = [(list(b), count) for b, count in c.runs]
     flat = c.instructions
-    assert len(flat) == 8 and c.runs == [(flat, 1)]
-    flat.append(body[0])
-    assert c.gate_count() == 9 and c.instructions is flat
+    assert isinstance(flat, tuple) and len(flat) == 8
+    assert flat == tuple(ins for b, count in runs for _ in range(count) for ins in b)
+    assert c.runs == runs and c.instruction_count() == 8
 
 
 DEPTH_SCRIPT = """
