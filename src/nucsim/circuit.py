@@ -19,6 +19,7 @@ run at the cost of a few copies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,6 +159,8 @@ class Circuit:
                 raise ValueError(f"{instr.gate.value} takes {instr.gate.n_qubits} qubits")
             if len(instr.params) != instr.gate.n_params:
                 raise ValueError(f"{instr.gate.value} takes {instr.gate.n_params} parameters")
+            if not all(map(math.isfinite, instr.params)):
+                raise ValueError(f"{instr.gate.value} has a non-finite parameter")
         if instr.gate is Gate.MEASURE:
             if instr.cbit is None or not 0 <= instr.cbit < self.n_clbits:
                 raise ValueError(f"measure target bit {instr.cbit} out of range")
@@ -214,20 +217,20 @@ class Circuit:
         return Circuit(self.n_qubits, list(self.cregs))
 
 
-def walk_run(body: list, count: int, cells: list, walk, snapshot, open_cells=tuple):
+def walk_run(body: list, count: int, cells: list, walk, carried):
     """Walk `count` copies of `body` as a flat walk would, but physically
     only until the state carried across a copy boundary repeats.
 
     ``walk(body)`` walks one copy: it appends to `cells` and may rewrite the
-    cells it still holds open.  ``snapshot(start, end)`` gives that carried
-    state as ``(key, objects)``: `key` is hashable and compares by value,
-    with each cell position p of this run (p >= start) taken relative to
-    `end`, and `objects` compare by identity.  ``open_cells()`` lists the
-    positions that a later instruction may still rewrite.
+    cells it still holds.  ``carried()`` gives that state as ``(label,
+    held)``: `label` is hashable and compares by value, and `held` lists
+    ``(position, obj)`` pairs, where `obj` compares by identity and
+    `position` is a cell that a later instruction may still rewrite, or
+    None.  Positions inside this run are compared relative to the boundary.
 
     Once the state at a boundary equals the state `period` copies earlier,
     every later stretch of `period` copies does what the last one did.  The
-    walk goes on until no open cell lies in this run's cells so far, so they
+    walk goes on until no held cell lies in this run's cells so far, so they
     are final, walks the copies that do not fill a whole period, and returns
     ``(a, b, times)``: cells[a:b], the last period before the repeat, stand
     for `times` more of themselves right after them.  The cells after b are
@@ -236,18 +239,18 @@ def walk_run(body: list, count: int, cells: list, walk, snapshot, open_cells=tup
     """
     start = len(cells)
     bounds: list[int] = []  # len(cells) at each boundary walked
-    seen: dict = {}         # snapshot -> the boundary it was taken at
-    held = []               # the snapshots' objects, alive so that no id is reused
+    seen: dict = {}  # carried state -> (its boundary, its objects, alive so no id is reused)
     done = 0
     while done < count:
         b = len(cells)
         if count > 1:
-            key, objects = snapshot(start, b)
-            held.append(objects)
-            j = seen.setdefault((key, tuple(map(id, objects))), done)
+            label, held = carried()
+            key = tuple((p - b if p is not None and p >= start else p, id(obj)) for p, obj in held)
+            j = seen.setdefault((label, key), (done, held))[0]
             if j < done:
                 a, period = bounds[j], done - j
-                while done < count and any(start <= p < b for p in open_cells()):
+                while done < count and any(p is not None and start <= p < b
+                                           for p, _ in carried()[1]):
                     walk(body)
                     done += 1
                 times, rest = divmod(count - done, period)

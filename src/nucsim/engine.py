@@ -669,10 +669,8 @@ def _compile(circuit: Circuit, mode: str, ancilla: int | None) -> Plan:
     In mma mode the same walk validates the layout: mid-circuit measures
     hit the ancilla and pair with a following reset of it, and every reset
     is preceded by such a measure (barriers between them are skipped).
+    ``run`` has checked the ancilla's range.
     """
-    if mode == "mma" and (ancilla is None or not 0 <= ancilla < circuit.n_qubits):
-        raise MmaStructureError(f"ancilla index {ancilla} out of range")
-
     # Trotter slices repeat their blocks, so each distinct block, keyed by its
     # gates' matrix bytes and qubits, is fused once per call and its Block
     # shared by every segment entry that repeats it
@@ -732,15 +730,15 @@ def _compile(circuit: Circuit, mode: str, ancilla: int | None) -> Plan:
             marks.append([])
         pos += len(body)
 
-    def snapshot(start: int, end: int) -> tuple[tuple, list]:
+    def carried() -> tuple[tuple, list]:
         # a copy that cut the plan changed len(points): no repeat
         return ((len(points), measured, tuple(qs for _, qs in block)),
-                [u for u, _ in block])
+                [(None, u) for u, _ in block])
 
     for body, count in _executed_runs(circuit):
         end = pos + len(body) * count
         # a copy with a point never repeats, so a mark falls in one segment
-        mark = walk_run(body, count, cells, walk, snapshot)
+        mark = walk_run(body, count, cells, walk, carried)
         if mark is not None:
             marks[-1].append(mark)
         pos = end  # past the copies walked and those the mark stands for
@@ -861,9 +859,10 @@ def run(circuit: Circuit, mode: str, shots: int, seed: int, ancilla: int | None,
     """Execute a filter-style circuit and report success statistics.
 
     ``ancilla`` names the qubit every mid-circuit measurement must assert in
-    mma mode; rejection mode ignores it.  ``hamiltonian``, if given, is
-    measured on the pre-sampling state and reported as ``energy``; in
-    rejection mode that is the state of the first accepted shot.
+    mma mode; rejection mode needs none and only checks the range of one
+    given.  ``hamiltonian``, if given, is measured on the pre-sampling state
+    and reported as ``energy``; in rejection mode that is the state of the
+    first accepted shot.
 
     Rejection mode memoizes the outcome tree for this call only (see
     ``_execute_rejection``): each distinct outcome prefix is computed once,
@@ -875,6 +874,9 @@ def run(circuit: Circuit, mode: str, shots: int, seed: int, ancilla: int | None,
     if shots < 1:
         raise ValueError("shots must be positive")
     rng = _as_rng(seed)
+    if (ancilla is None and mode == "mma"
+            or ancilla is not None and not 0 <= ancilla < circuit.n_qubits):
+        raise MmaStructureError(f"ancilla index {ancilla} out of range")
     t0 = time.perf_counter()
     plan = _compile(circuit, mode, ancilla)
     state = StateVector(circuit.n_qubits)

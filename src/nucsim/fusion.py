@@ -21,14 +21,15 @@ Gate counts in the reported statistics exclude measure, reset and barrier.
 Each pass maps the runs of a circuit (see ``circuit``) to runs and costs in
 proportion to the distinct work in it, not to its gate count.  A repeated
 run is walked copy by copy only until the state the pass carries across a
-copy boundary repeats (``circuit.walk_run``): the pending runs of
-``_collapse_runs``, or the last instruction on each qubit of
-``_absorb_sweep`` with what it holds.  The output of the copies since the
-earlier occurrence of that state then stands for the rest of the run, so
-the output is head + body x times + tail, with the instructions and order
-of a flat walk.  That state can repeat because one memo per pass call,
-dropped when the call returns, keys on the identity of the objects the
-copies share: the matrix of each instruction, each product ``a @ b``
+copy boundary repeats (``circuit.walk_run``).  Each pass gives that state
+in one ``carried()`` callback, each held object with the output cell it
+may still rewrite: the pending runs of ``_collapse_runs``, or the last
+instruction on each qubit of ``_absorb_sweep``.  The output of the copies
+since the earlier occurrence of that state then stands for the rest of the
+run, so the output is head + body x times + tail, with the instructions
+and order of a flat walk.  That state can repeat because one memo per pass
+call, dropped when the call returns, keys on the identity of the objects
+the copies share: the matrix of each instruction, each product ``a @ b``
 (operands and their order as written, never re-associated), each lift of a
 2x2 matrix onto one slot of a pair (``gates._lift``, the index placement
 every gate product and operand reorder goes through), each SWAP conjugate
@@ -89,21 +90,15 @@ def gate_count(circuit: Circuit) -> int:
     return circuit.gate_count()
 
 
-def _walk(circuit: Circuit, cells: list, walk, snapshot, open_cells) -> list:
+def _walk(circuit: Circuit, cells: list, walk, carried) -> list:
     """Walk every run of `circuit` into `cells` (see circuit.walk_run);
     returns the marks of the repeated copies."""
     marks = []
     for body, count in circuit.runs:
-        mark = walk_run(body, count, cells, walk, snapshot, open_cells)
+        mark = walk_run(body, count, cells, walk, carried)
         if mark is not None:
             marks.append(mark)
     return marks
-
-
-def _rel(p: int, start: int, end: int) -> int:
-    """A cell position in a snapshot: negative, relative to `end`, for a cell
-    of the run being walked (p >= start), else as is."""
-    return p - end if p >= start else p
 
 
 class _Memo:
@@ -199,11 +194,11 @@ def _collapse_runs(circuit: Circuit, arity: int) -> Circuit:
                 for q in operands:
                     pending[q] = run
 
-    def snapshot(start: int, end: int) -> tuple[tuple, list]:
+    def carried() -> tuple[tuple, list]:
         runs = [pending[q] for q in sorted(pending)]
-        return (tuple((r[0], _rel(r[1], start, end)) for r in runs), [r[2] for r in runs])
+        return tuple(r[0] for r in runs), [(r[1], r[2]) for r in runs]
 
-    marks = _walk(circuit, dest, walk, snapshot, lambda: [r[1] for r in pending.values()])
+    marks = _walk(circuit, dest, walk, carried)
     for run in pending.values():  # a pair's run is listed twice; the memo gives one payload
         dest[run[1]] = memo.payload(run[0], run[2])
     out = circuit.copy_empty()
@@ -226,37 +221,29 @@ def absorb_1q(circuit: Circuit) -> Circuit:
 
     A lone gate V on qubit q merges into the nearest two-qubit gate U that
     touches q with no other instruction on q in between: U then V becomes
-    lift(V) @ U, V then U becomes U @ lift(V).  Repeats until stable.
+    lift(V) @ U, V then U becomes U @ lift(V).  Sweeps again while the last
+    sweep says its output still needs one.
     """
     memo = _Memo()
-    current = _absorb_sweep(circuit, memo)
-    while _absorbable(current):
-        current = _absorb_sweep(current, memo)
+    current, again = _absorb_sweep(circuit, memo)
+    while again:
+        current, again = _absorb_sweep(current, memo)
     return current
 
 
-def _absorbable(circuit: Circuit) -> bool:
-    """Whether some single-qubit gate is next to a two-qubit gate on a
-    qubit's timeline: exactly when an absorb sweep would change anything."""
-    width = [0] * circuit.n_qubits  # per qubit: arity of its last instruction, 0 for markers
-    for body, count in circuit.runs:
-        # a copy leaves each qubit it touches as the copy before left it, so
-        # a third copy meets what the second met
-        for _ in range(min(count, 2)):
-            for ins in body:
-                w = len(ins.qubits) if ins.is_gate else 0
-                for q in ins.qubits:
-                    if width[q] * w == 2:  # a 1q and a 2q gate, in either order
-                        return True
-                    width[q] = w
-    return False
-
-
-def _absorb_sweep(circuit: Circuit, memo: _Memo) -> Circuit:
+def _absorb_sweep(circuit: Circuit, memo: _Memo) -> tuple[Circuit, bool]:
+    """One sweep of absorb_1q, and whether its output needs another: only
+    where it folded a single-qubit gate that came right after another one
+    does a single-qubit gate meet a two-qubit gate after it."""
     dest: list[Instruction | None] = []
     last: dict[int, int] = {}
+    # qubit -> whether its last single-qubit gate came right after another;
+    # carried, as it sets `again` when a later gate folds that one
+    chained: dict[int, bool] = {}
+    again = False
 
     def walk(body: list[Instruction]) -> None:
+        nonlocal again
         for ins in body:
             if ins.is_gate and len(ins.qubits) == 1:
                 q = ins.qubits[0]
@@ -267,6 +254,7 @@ def _absorb_sweep(circuit: Circuit, memo: _Memo) -> Circuit:
                     merged = memo.product(memo.lift(memo.matrix(ins), slot), memo.matrix(prev))
                     dest[j] = memo.payload(prev.qubits, merged)
                     continue
+                chained[q] = prev is not None and prev.is_gate and len(prev.qubits) == 1
             elif ins.is_gate and len(ins.qubits) == 2:
                 matrix = None
                 for slot, q in enumerate(ins.qubits):
@@ -277,6 +265,7 @@ def _absorb_sweep(circuit: Circuit, memo: _Memo) -> Circuit:
                             matrix = memo.matrix(ins)
                         matrix = memo.product(matrix, memo.lift(memo.matrix(prev), slot))
                         dest[j] = None
+                        again = again or chained[q]
                 if matrix is not None:
                     ins = memo.payload(ins.qubits, matrix)
             dest.append(ins)
@@ -284,16 +273,16 @@ def _absorb_sweep(circuit: Circuit, memo: _Memo) -> Circuit:
             for q in ins.qubits:
                 last[q] = here
 
-    def snapshot(start: int, end: int) -> tuple[tuple, list]:
+    def carried() -> tuple[tuple, list]:
         qubits = sorted(last)
-        return (tuple((q, _rel(last[q], start, end)) for q in qubits),
-                [dest[last[q]] for q in qubits])
+        return (tuple((q, chained.get(q)) for q in qubits),
+                [(last[q], dest[last[q]]) for q in qubits])
 
-    marks = _walk(circuit, dest, walk, snapshot, last.values)
+    marks = _walk(circuit, dest, walk, carried)
     out = circuit.copy_empty()
     for piece, count in run_pieces(dest, marks):
         out.append_run([i for i in piece if i is not None], count)
-    return out
+    return out, again
 
 
 def normalize_2q_order(circuit: Circuit) -> Circuit:

@@ -28,87 +28,65 @@ SQRT1_2 = math.sqrt(0.5)
 
 
 class Gate(Enum):
-    """Instruction tags: unitary gates plus measure/reset/barrier markers."""
+    """Instruction tags: unitary gates plus measure/reset/barrier markers,
+    each written (tag, n_qubits, n_params); Gate(tag) looks a member up."""
 
-    U3 = "u3"
-    U2 = "u2"
-    U1 = "u1"
-    CX = "cx"
-    ID = "id"
-    X = "x"
-    Y = "y"
-    Z = "z"
-    H = "h"
-    S = "s"
-    SDG = "sdg"
-    T = "t"
-    TDG = "tdg"
-    RX = "rx"
-    RY = "ry"
-    RZ = "rz"
-    CZ = "cz"
-    CY = "cy"
-    SWAP = "swap"
-    CH = "ch"
-    CCX = "ccx"
-    CSWAP = "cswap"
-    CRX = "crx"
-    CRY = "cry"
-    CRZ = "crz"
-    CU1 = "cu1"
-    CU3 = "cu3"
-    RXX = "rxx"
-    RZZ = "rzz"
-    RCCX = "rccx"
-    RC3X = "rc3x"
-    C3X = "c3x"
-    C3SQRTX = "c3sqrtx"
-    C4X = "c4x"
-    C1 = "c1"  # fused 1-qubit payload
-    C2 = "c2"  # fused 2-qubit payload
-    MEASURE = "measure"
-    RESET = "reset"
-    BARRIER = "barrier"
+    U3 = ("u3", 1, 3)
+    U2 = ("u2", 1, 2)
+    U1 = ("u1", 1, 1)
+    CX = ("cx", 2)
+    ID = ("id", 1)
+    X = ("x", 1)
+    Y = ("y", 1)
+    Z = ("z", 1)
+    H = ("h", 1)
+    S = ("s", 1)
+    SDG = ("sdg", 1)
+    T = ("t", 1)
+    TDG = ("tdg", 1)
+    RX = ("rx", 1, 1)
+    RY = ("ry", 1, 1)
+    RZ = ("rz", 1, 1)
+    CZ = ("cz", 2)
+    CY = ("cy", 2)
+    SWAP = ("swap", 2)
+    CH = ("ch", 2)
+    CCX = ("ccx", 3)
+    CSWAP = ("cswap", 3)
+    CRX = ("crx", 2, 1)
+    CRY = ("cry", 2, 1)
+    CRZ = ("crz", 2, 1)
+    CU1 = ("cu1", 2, 1)
+    CU3 = ("cu3", 2, 3)
+    RXX = ("rxx", 2, 1)
+    RZZ = ("rzz", 2, 1)
+    RCCX = ("rccx", 3)
+    RC3X = ("rc3x", 4)
+    C3X = ("c3x", 4)
+    C3SQRTX = ("c3sqrtx", 4)
+    C4X = ("c4x", 5)
+    C1 = ("c1", 1)  # fused 1-qubit payload
+    C2 = ("c2", 2)  # fused 2-qubit payload
+    MEASURE = ("measure", 1)
+    RESET = ("reset", 1)
+    BARRIER = ("barrier", 0)  # barrier takes any set
 
     # plain member attributes, not properties: fusion and Circuit.append ask
     # them per instruction, and an enum property that looks a member up in a
     # dict hashes it through the Python-level Enum.__hash__, about 1 us on
-    # CPython 3.11.  n_qubits and n_params are set below from the _N_QUBITS
-    # and _N_PARAMS tables.
+    # CPython 3.11
     is_unitary: bool
     n_qubits: int
     n_params: int
 
-    def __init__(self, tag: str):
-        self.is_unitary = tag not in ("measure", "reset", "barrier")
+    def __new__(cls, tag: str, n_qubits: int, n_params: int = 0):
+        member = object.__new__(cls)
+        member._value_ = tag
+        member.is_unitary = tag not in ("measure", "reset", "barrier")
+        member.n_qubits = n_qubits
+        member.n_params = n_params
+        return member
 
-
-_N_QUBITS = {
-    Gate.U3: 1, Gate.U2: 1, Gate.U1: 1, Gate.ID: 1, Gate.X: 1, Gate.Y: 1,
-    Gate.Z: 1, Gate.H: 1, Gate.S: 1, Gate.SDG: 1, Gate.T: 1, Gate.TDG: 1,
-    Gate.RX: 1, Gate.RY: 1, Gate.RZ: 1, Gate.C1: 1,
-    Gate.CX: 2, Gate.CZ: 2, Gate.CY: 2, Gate.SWAP: 2, Gate.CH: 2,
-    Gate.CRX: 2, Gate.CRY: 2, Gate.CRZ: 2, Gate.CU1: 2, Gate.CU3: 2,
-    Gate.RXX: 2, Gate.RZZ: 2, Gate.C2: 2,
-    Gate.CCX: 3, Gate.CSWAP: 3, Gate.RCCX: 3,
-    Gate.C3X: 4, Gate.C3SQRTX: 4, Gate.RC3X: 4,
-    Gate.C4X: 5,
-    Gate.MEASURE: 1, Gate.RESET: 1, Gate.BARRIER: 0,  # barrier takes any set
-}
-
-_N_PARAMS = {g: 0 for g in Gate}
-_N_PARAMS.update({
-    Gate.U3: 3, Gate.U2: 2, Gate.U1: 1,
-    Gate.RX: 1, Gate.RY: 1, Gate.RZ: 1,
-    Gate.CRX: 1, Gate.CRY: 1, Gate.CRZ: 1,
-    Gate.CU1: 1, Gate.CU3: 3,
-    Gate.RXX: 1, Gate.RZZ: 1,
-})
-
-for _gate in Gate:
-    _gate.n_qubits = _N_QUBITS[_gate]
-    _gate.n_params = _N_PARAMS[_gate]
-del _gate
 
 QASM_NAMES = {g.value: g for g in Gate if g.is_unitary and g not in (Gate.C1, Gate.C2)}
 

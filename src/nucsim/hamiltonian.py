@@ -18,6 +18,7 @@ mapped through the Jordan-Wigner encoding
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -66,6 +67,8 @@ class PauliHamiltonian:
         self.terms: dict[str, complex] = {}
         for letters, coeff in (terms or {}).items():
             _check_letters(letters, n_qubits)
+            if not cmath.isfinite(coeff):
+                raise ValueError(f"coefficient {coeff} of {letters} is not finite")
             if abs(coeff) > _COEFF_EPS:
                 self.terms[letters] = complex(coeff)
 
@@ -208,6 +211,8 @@ class SecondQuantizedInput:
                 raise ValueError(f"mode index {m} out of range for {self.n_modes} modes")
 
     def _store(self, table: dict, key: tuple, value: float) -> None:
+        if not math.isfinite(value):
+            raise ValueError(f"value {value} for {key} is not finite")
         old = table.get(key)
         if old is not None and abs(old - value) > 1e-12:
             raise ValueError(f"conflicting value for {key}: {old} vs {value}")
@@ -366,6 +371,8 @@ def parse_pauli_text(text: str) -> PauliHamiltonian:
             raise ValueError(f"line {lineno}: expected 'coefficient letters'")
         try:
             coeff = float(parts[0])
+            if not math.isfinite(coeff):
+                raise ValueError
         except ValueError:
             raise ValueError(f"line {lineno}: bad coefficient {parts[0]!r}") from None
         letters = parts[1].upper()

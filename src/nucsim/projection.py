@@ -37,8 +37,10 @@ class FilterSchedule:
         clean = []
         for step in self.steps:
             t, delta = step
-            if not t > 0.0:
-                raise ValueError(f"step times must be positive, got {t}")
+            if not 0.0 < t < math.inf:
+                raise ValueError(f"step times must be positive and finite, got {t}")
+            if not math.isfinite(float(delta)):
+                raise ValueError(f"step phases must be finite, got {delta}")
             clean.append((float(t), float(delta)))
         object.__setattr__(self, "steps", tuple(clean))
 

@@ -188,14 +188,23 @@ class _Parser:
             self._expect("SYM", "]")
         return name_tok.text, index, name_tok
 
-    def _qubit(self, name: str, index: int | None, tok: _Token) -> int:
-        if self.qreg is None or name != self.qreg[0]:
+    def _qubits(self, name: str, index: int | None, tok: _Token,
+                note: str = "") -> list[int] | range:
+        """A quantum operand as [index], or the whole register when it has
+        no index; `note` ends the out-of-range message."""
+        if name != self.qreg[0]:
             self._error(f"unknown quantum register {name!r}", tok)
         if index is None:
-            self._error(f"gate operands must be indexed, write {name}[k]", tok)
+            return range(self.qreg[1])
         if not 0 <= index < self.qreg[1]:
-            self._error(f"{name}[{index}] out of range (size {self.qreg[1]})", tok)
-        return index
+            self._error(f"{name}[{index}] out of range{note}", tok)
+        return [index]
+
+    def _qubit(self, name: str, index: int | None, tok: _Token) -> int:
+        qubits = self._qubits(name, index, tok, f" (size {self.qreg[1]})")
+        if index is None:
+            self._error(f"gate operands must be indexed, write {name}[k]", tok)
+        return qubits[0]
 
     # ---- statements ------------------------------------------------------
 
@@ -354,6 +363,8 @@ class _Parser:
         if len(params) != gate.n_params:
             self._error(f"{gate.value} expects {gate.n_params} parameter(s), got {len(params)}",
                         name_tok)
+        if not all(map(math.isfinite, params)):
+            self._error(f"{gate.value} has a non-finite angle", name_tok)
         qubits = [self._qubit(*self._reg_operand())]
         while self._peek().text == ",":
             self._next()
@@ -373,7 +384,7 @@ class _Parser:
         self._expect("ARROW")
         cname, cindex, ctok = self._reg_operand()
         self._expect("SYM", ";")
-        if self.qreg is None or qname != self.qreg[0]:
+        if qname != self.qreg[0]:
             self._error(f"unknown quantum register {qname!r}", qtok)
         creg_size = dict(circuit.cregs).get(cname)
         if creg_size is None:
@@ -399,39 +410,18 @@ class _Parser:
         circuit = self._require_circuit(kw)
         name, index, tok = self._reg_operand()
         self._expect("SYM", ";")
-        if self.qreg is None or name != self.qreg[0]:
-            self._error(f"unknown quantum register {name!r}", tok)
-        if index is None:
-            for k in range(self.qreg[1]):
-                circuit.reset(k)
-        else:
-            if not 0 <= index < self.qreg[1]:
-                self._error(f"{name}[{index}] out of range", tok)
-            circuit.reset(index)
+        for q in self._qubits(name, index, tok):
+            circuit.reset(q)
 
     def _parse_barrier(self) -> None:
         kw = self._next()
         circuit = self._require_circuit(kw)
-        qubits: list[int] = []
-        while True:
-            name, index, tok = self._reg_operand()
-            if self.qreg is None or name != self.qreg[0]:
-                self._error(f"unknown quantum register {name!r}", tok)
-            if index is None:
-                qubits.extend(range(self.qreg[1]))
-            else:
-                if not 0 <= index < self.qreg[1]:
-                    self._error(f"{name}[{index}] out of range", tok)
-                qubits.append(index)
-            if self._peek().text != ",":
-                break
+        qubits = [*self._qubits(*self._reg_operand())]
+        while self._peek().text == ",":
             self._next()
+            qubits += self._qubits(*self._reg_operand())
         self._expect("SYM", ";")
-        seen = []
-        for q in qubits:
-            if q not in seen:
-                seen.append(q)
-        circuit.barrier(*seen)
+        circuit.barrier(*dict.fromkeys(qubits))  # first occurrences, in order
 
 
 # A line of a Trotter slice may recur inside the slice (a basis change and

@@ -799,6 +799,8 @@ class _Parser:
         if len(params) != gate.n_params:
             self._error(f"{gate.value} expects {gate.n_params} parameter(s), got {len(params)}",
                         name_tok)
+        if not all(map(math.isfinite, params)):
+            self._error(f"{gate.value} has a non-finite angle", name_tok)
         qubits = [self._qubit(*self._reg_operand())]
         while self._peek().text == ",":
             self._next()

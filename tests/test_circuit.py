@@ -49,6 +49,12 @@ def test_qubit_validation():
         c.gate_op(Gate.CX, (0,))
     with pytest.raises(ValueError):
         c.gate_op(Gate.RZ, (0,), ())
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="non-finite"):
+            c.rz(bad, 0)
+        with pytest.raises(ValueError, match="non-finite"):
+            c.gate_op(Gate.U3, (1,), (0.1, bad, 0.2))
+    assert c.instruction_count() == 0
     with pytest.raises(ValueError):
         Circuit(0)
 

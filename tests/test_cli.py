@@ -275,16 +275,21 @@ def test_simulate_cannot_infer_ancilla_exits_2(tmp_path, capsys):
 
 def test_simulate_bad_qasm_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.qasm"
-    path.write_text("OPENQASM 3.0;\nqreg q[1];\n", encoding="utf-8")
-    code, _, err = run_cli(capsys, "simulate", "--input", str(path))
-    assert code == 2
-    assert "line 1" in err
+    for text, where in (("OPENQASM 3.0;\nqreg q[1];\n", "line 1"),
+                        ("OPENQASM 2.0;\nqreg q[1];\nrz(1e999) q[0];\n", "line 3, column 1"),
+                        ("OPENQASM 2.0;\nqreg q[1];\nrx(1e999) q[0];\n", "line 3, column 1")):
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--input", str(path))
+        assert code == 2 and out == ""
+        assert where in err
 
 
 def test_simulate_config_validation_exits_2(workdir, capsys):
     src = str(workdir / "filter.qasm")
     for extra in (("--shots", "0"), ("--seed", "-1"),
-                  ("--seed", str(2 ** 64)), ("--threads", "0")):
+                  ("--seed", str(2 ** 64)), ("--threads", "0"),
+                  ("--mode", "rejection", "--ancilla", "-1"),
+                  ("--mode", "rejection", "--ancilla", "3")):
         code, _, err = run_cli(capsys, "simulate", "--input", src, *extra)
         assert code == 2
         assert "error:" in err
@@ -363,11 +368,28 @@ def test_prepare_respects_explicit_schedule_and_e0(workdir, tmp_path, capsys):
 
 def test_prepare_with_a_malformed_schedule_exits_2(workdir, tmp_path, capsys):
     sched = tmp_path / "sched.json"
-    sched.write_text(json.dumps({"steps": [{"t": None}]}), encoding="utf-8")
-    code, _, err = run_cli(capsys, "prepare", "--hamiltonian", str(workdir / "pair.txt"),
-                           "--schedule", str(sched), "--output", str(tmp_path / "s.qasm"))
-    assert code == 2
-    assert "Traceback" not in err and "needs numbers" in err
+    for steps, fragment in (('[{"t": null}]', "needs numbers"),
+                            ('[{"t": Infinity}]', "positive and finite"),
+                            ('[{"t": 1.0, "delta": NaN}]', "phases must be finite")):
+        sched.write_text('{"steps": %s}' % steps, encoding="utf-8")
+        code, _, err = run_cli(capsys, "prepare", "--hamiltonian", str(workdir / "pair.txt"),
+                               "--schedule", str(sched), "--output", str(tmp_path / "s.qasm"))
+        assert code == 2 and not (tmp_path / "s.qasm").exists()
+        assert "Traceback" not in err and fragment in err
+
+
+@pytest.mark.parametrize("command, text, extra, fragment", [
+    ("spectrum", "0.7 ZI\nnan IZ\n", (), "line 2: bad coefficient"),
+    ("spectrum", "ns 2\nt 0 0 nan\n", (), "line 2: value nan"),
+    ("prepare", "0.7 ZI\n0.3 IZ\n", ("--steps", "1", "--gap", "0.5", "--e0", "nan"),
+     "not finite"),
+], ids=["pauli-coefficient", "matrix-element", "e0"])
+def test_non_finite_operator_numbers_exit_2(tmp_path, capsys, command, text, extra, fragment):
+    path = tmp_path / "h.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--hamiltonian", str(path), *extra)
+    assert code == 2 and out == ""
+    assert fragment in err
 
 
 def test_prepare_without_schedule_or_steps_exits_2(workdir, capsys):

@@ -959,6 +959,9 @@ def test_mma_structure_validation():
         run(two_step_circuit(), "mma", shots=1, seed=0, ancilla=None)
     with pytest.raises(MmaStructureError, match="^ancilla index 9 out of range$"):
         run(two_step_circuit(), "mma", shots=1, seed=0, ancilla=9)
+    for ancilla in (-5, 9):  # rejection mode needs no ancilla, but checks one given
+        with pytest.raises(MmaStructureError, match=f"^ancilla index {ancilla} out of range$"):
+            run(two_step_circuit(), "rejection", shots=4, seed=1, ancilla=ancilla)
 
     bad = Circuit(2, [("c", 1), ("r", 2)])
     bad.h(0)

@@ -1,5 +1,7 @@
 """Four-pass gate fusion: merge, absorb, order normalization, pair fusion."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from nucsim import Circuit, fuse_pipeline, run
 from nucsim import fusion, gates
+from nucsim.circuit import Instruction
 from nucsim.fusion import (absorb_1q, fuse_2q, gate_count, merge_1q,
                            normalize_2q_order)
 from nucsim.gates import Gate, gate_matrix
@@ -424,14 +427,24 @@ def test_passes_drop_only_the_gates_they_fold(seed):
         current = out
 
 
-def test_absorb_repeats_sweeps_while_needed(monkeypatch):
+@pytest.mark.parametrize("repeated", [False, True], ids=["flat", "run"])
+@pytest.mark.parametrize("chains", list(itertools.product(range(1, 5), repeat=2)),
+                         ids="{0[0]}-{0[1]}".format)
+def test_absorb_repeats_sweeps_while_needed(monkeypatch, chains, repeated):
+    """k unmerged 1q gates right before a 2q gate take k sweeps: each sweep
+    folds the last of them, and says so while another one is left."""
+    rng = np.random.default_rng(7)
+    body = [Instruction(Gate.RY, (q,), (float(rng.uniform(-np.pi, np.pi)),))
+            for q, k in enumerate(chains) for _ in range(k)]
+    body.append(Instruction(Gate.CX, (0, 1)))
     c = Circuit(2)
-    c.h(0)
-    c.x(0)  # two unmerged 1q gates before the CX take two sweeps
-    c.cx(0, 1)
+    c.append_run(body, 3 if repeated else 1)
     sweeps = _count_calls(monkeypatch, fusion, "_absorb_sweep")
-    _assert_same_circuit(absorb_1q(c), oracles.absorb_1q(c))
-    assert len(sweeps) == 2
+    got, want = absorb_1q(c).instructions, oracles.absorb_1q(c).instructions
+    assert [i.key() for i in got] == [i.key() for i in want]
+    assert [i.resolved_matrix().tobytes() for i in got] == \
+        [i.resolved_matrix().tobytes() for i in want]
+    assert len(sweeps) == max(chains)
 
 
 # ---------------------------------------------------------------------------

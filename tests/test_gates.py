@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from nucsim import gates as gates_module
-from nucsim.gates import (_N_PARAMS, _N_QUBITS, QASM_NAMES, Gate, _compose, _lift,
-                          gate_matrix, sort_operands)
+from nucsim.gates import QASM_NAMES, Gate, _compose, _lift, gate_matrix, sort_operands
 
 ANGLES = st.floats(min_value=-2 * np.pi, max_value=2 * np.pi,
                    allow_nan=False, allow_infinity=False)
@@ -297,7 +296,10 @@ def test_qasm_name_table_round_trips():
 
 
 def test_member_arities_match_the_tables():
+    """Each named gate's matrix table entry takes the member's parameter
+    count and acts on its qubit count."""
+    for g in QASM_NAMES.values():
+        dim = 2 ** g.n_qubits
+        assert gate_matrix(g, (0.3,) * g.n_params).shape == (dim, dim)
     for g in Gate:
-        assert g.n_qubits == _N_QUBITS[g]
-        assert g.n_params == _N_PARAMS[g]
         assert "n_qubits" in vars(g) and "n_params" in vars(g)

@@ -33,6 +33,9 @@ def test_term_bookkeeping():
         ham(2, {"X": 1.0})
     with pytest.raises(ValueError):
         ham(2, {"XQ": 1.0})
+    for bad in (float("nan"), float("inf"), complex(0.5, float("nan"))):
+        with pytest.raises(ValueError, match="not finite"):
+            ham(2, {"XI": bad})
     # near-zero coefficients are dropped at construction
     assert len(ham(1, {"X": 1e-16})) == 0
 
@@ -332,6 +335,9 @@ def test_pauli_text_parsing_details():
         parse_pauli_text("0.5 ZI\n0.5 XYZ\n")
     with pytest.raises(ValueError):
         parse_pauli_text("# nothing\n")
+    for bad in ("nan", "inf", "-Infinity"):
+        with pytest.raises(ValueError, match="^line 2: bad coefficient"):
+            parse_pauli_text(f"0.5 ZI\n{bad} IZ\n")
 
 
 def test_format_requires_hermitian():
@@ -356,6 +362,9 @@ v 0 1 0 1 0.25
         parse_second_quantized_text("w 0 1 0.5\n")
     with pytest.raises(ValueError):
         parse_second_quantized_text("\n")
+    for bad in ("t 0 0 nan", "t 0 1 inf", "v 0 1 0 1 -inf"):
+        with pytest.raises(ValueError, match="^line 2: .*not finite"):
+            parse_second_quantized_text(f"ns 2\n{bad}\n")
 
 
 def test_mode_count_inferred_from_indices():

@@ -55,6 +55,9 @@ def test_schedule_validation():
         FilterSchedule(((0.0, 0.1),))
     with pytest.raises(ValueError):
         FilterSchedule(((-0.5, 0.0),))
+    for bad in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.nan), (1.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            FilterSchedule((bad,))
 
 
 def test_schedule_json_round_trip():
@@ -69,7 +72,8 @@ def test_schedule_json_round_trip():
     assert implicit.steps == ((2.0, 0.0),)
     for bad in ('{"steps": [{"delta": 0.1}]}', '{"times": []}', '{"steps": [1.0]}',
                 '{"steps": [{"t": null}]}', '{"steps": [{"t": 1.0, "delta": [0]}]}',
-                '{"steps": 5}'):
+                '{"steps": 5}', '{"steps": [{"t": Infinity}]}',
+                '{"steps": [{"t": 1.0, "delta": NaN}]}'):
         with pytest.raises(ValueError):
             FilterSchedule.from_json(bad)
 

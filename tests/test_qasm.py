@@ -125,6 +125,9 @@ def test_comments_and_whitespace_ignored():
     (HEADER + "qreg q[1];\ncreg q[1];\nmeasure q[0] -> q[0];\n", 4,
      "duplicate register name 'q'"),
     (HEADER + "creg q[1];\nqreg q[1];\n", 4, "duplicate register name 'q'"),
+    (HEADER + "qreg q[2];\nrz(1e999) q[0];\n", 4, "rz has a non-finite angle"),
+    (HEADER + "qreg q[2];\nrx(1e999) q[0];\n", 4, "column 1: rx has a non-finite angle"),
+    (HEADER + "qreg q[2];\nu3(0, 1e308*10-1e308*10, 0) q[0];\n", 4, "non-finite"),
 ])
 def test_errors_carry_position(snippet, line, fragment):
     with pytest.raises(QasmError) as exc:
