@@ -284,6 +284,8 @@ def _checked_payload(matrix: np.ndarray, dim: int) -> np.ndarray:
     m = np.array(matrix, dtype=complex, order="C")
     if m.shape != (dim, dim):
         raise ValueError(f"payload must be {dim}x{dim}")
+    if not np.isfinite(m).all():
+        raise ValueError("payload has a non-finite entry")
     err = np.max(np.abs(m.conj().T @ m - np.eye(dim)))
     if err > _ATOL_UNITARY:
         raise ValueError(f"payload is not unitary (deviation {err:.2e})")

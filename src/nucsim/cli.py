@@ -11,7 +11,10 @@ Subcommands:
 Exit codes: 0 success, 2 parse or configuration error, 3 assertion failure,
 4 resource guard.  ``--threads`` (default from NUCSIM_THREADS) is validated
 but does not yet change how a run is scheduled, so it changes no reported
-number; reports are bitwise reproducible for a fixed seed.
+number; reports are bitwise reproducible for a fixed seed.  ``simulate`` and
+``fuse`` give the same bytes under any BLAS thread count; ``spectrum``,
+``prepare`` and ``filter-lcu`` diagonalize with LAPACK, whose last bits can
+depend on it.
 """
 
 from __future__ import annotations

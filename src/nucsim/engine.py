@@ -77,7 +77,7 @@ from .circuit import Circuit, run_pieces, walk_run
 from .errors import (FilterAssertionError, MmaStructureError, ProjectionError,
                      ResourceLimitError)
 from .gates import Gate, _compose, _lift_index, gate_matrix, sort_operands
-from .hamiltonian import PauliHamiltonian
+from .hamiltonian import PauliHamiltonian, _parity, pauli_masks
 
 EPS_MMA = 1e-12          # assertion fails below this |0> probability
 _NORM_ATOL = 1e-9        # accepted state-norm drift
@@ -127,7 +127,7 @@ class StateVector:
         if arr.ndim != 1 or arr.shape[0] != 1 << n or arr.shape[0] < 2:
             raise ValueError("amplitude count must be a power of two")
         norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > _NORM_ATOL:
+        if not abs(norm - 1.0) <= _NORM_ATOL:  # a NaN norm fails too
             raise ValueError(f"state is not normalized (norm {norm:.12g})")
         return cls._adopt(arr)
 
@@ -462,15 +462,6 @@ def _runs(labels: list) -> tuple[list[int], list]:
     return sizes, kinds
 
 
-@lru_cache(maxsize=64)
-def _parity(w: int) -> np.ndarray:
-    """(-1)^popcount(j) for j < 2^w."""
-    out = np.ones(1)
-    for _ in range(w):
-        out = np.concatenate([out, -out])
-    return out
-
-
 @lru_cache(maxsize=1024)
 def _sign_axes(bits: int, mask: int) -> tuple[list[int], list[int]]:
     """Axes of a table over `bits` bits by runs of bits in and out of mask,
@@ -506,26 +497,21 @@ def _pair_axes(n: int, flip: int, union: int):
     return [*sizes, 2], low, high, axes, out, [sizes[i] for i in out]
 
 
-_FLIPS = str.maketrans("IXYZ", "0110")
-_SIGNS = str.maketrans("IXYZ", "0011")
-
-
 def expectation_pauli(state: StateVector, h: PauliHamiltonian) -> float:
     """<psi|H|psi>, reading the amplitudes in place.
 
-    A Pauli word with flip mask f (its X and Y qubits), sign mask z (its Y
-    and Z qubits) and y Y letters acts as
-    (P psi)[i] = (-i)^y (-1)^popcount(i & z) psi[i ^ f].  Terms are grouped by
-    flip mask.  The Z-only terms (f = 0) share one |psi|^2 table, written into
-    the state's idle scratch buffer, and each sums it with its signs.  A
-    flip group pairs each amplitude a = psi[i] whose top flipped bit t is 0
-    with b = psi[i ^ f], read through a view of the amplitudes with the other
-    flipped axes reversed; <P> is 2 (-1)^(y // 2) times the signed sum of
-    Re(conj(a) b) for even y, of Im(conj(a) b) for odd y.  Those products are
-    summed onto the group's sign qubits (t aside) into tables in the scratch
-    buffer, which each term then sums with its signs.  Every reduction is an
-    einsum, in one fixed order on one thread; nothing of the state's size is
-    allocated (a term's signed table takes 8 * 2^popcount(z) bytes).
+    A Pauli word with masks f, z and y Y letters (hamiltonian.pauli_masks)
+    acts as (P psi)[i] = (-i)^y (-1)^popcount(i & z) psi[i ^ f].  Terms are
+    grouped by flip mask.  The Z-only terms (f = 0) share one |psi|^2 table,
+    written into the state's idle scratch buffer, and each sums it with its
+    signs.  A flip group pairs each amplitude a = psi[i] whose top flipped bit
+    t is 0 with b = psi[i ^ f], read through a view of the amplitudes with the
+    other flipped axes reversed; <P> is 2 (-1)^(y // 2) times the signed sum
+    of Re(conj(a) b) for even y, of Im(conj(a) b) for odd y.  Those products
+    are summed onto the group's sign qubits (t aside) into tables in the
+    scratch buffer, which each term then sums with its signs.  Every reduction
+    is an einsum, in one fixed order on one thread; nothing of the state's
+    size is allocated (a term's signed table takes 8 * 2^popcount(z) bytes).
     """
     if h.n_qubits > state.n_qubits:
         raise ValueError("operator acts on more qubits than the state")
@@ -534,9 +520,8 @@ def expectation_pauli(state: StateVector, h: PauliHamiltonian) -> float:
     n, amps = state.n_qubits, state.amps
     groups: dict[int, list[tuple[int, int, complex]]] = {}
     for letters, coeff in h.sorted_terms():
-        flip = int(letters.translate(_FLIPS)[::-1], 2)
-        sign = int(letters.translate(_SIGNS)[::-1], 2)
-        groups.setdefault(flip, []).append((sign, letters.count("Y"), coeff))
+        flip, sign, y = pauli_masks(letters)
+        groups.setdefault(flip, []).append((sign, y, coeff))
     tables = state.scratch().view(np.float64)  # 2^(n+1) floats, idle between kernels
     acc = 0j
     for flip in sorted(groups):
@@ -664,7 +649,9 @@ def _compile(circuit: Circuit, mode: str, ancilla: int | None) -> Plan:
     A repeated run of the circuit is walked copy by copy only until the open
     block at a copy boundary repeats (circuit.walk_run); the blocks since
     its earlier occurrence then stand for the rest of the run, as one run
-    of the plan.  The blocks and their order are those of a flat walk.
+    of the plan.  An open block that holds a whole copy of the run takes
+    every later copy whole, so the rest of the run is walked with nothing
+    compared.  The blocks and their order are those of a flat walk.
 
     In mma mode the same walk validates the layout: mid-circuit measures
     hit the ancilla and pair with a following reset of it, and every reset
@@ -680,6 +667,7 @@ def _compile(circuit: Circuit, mode: str, ancilla: int | None) -> Plan:
     marks: list[list] = [[]]  # each segment's repeats, from walk_run
     block: list[tuple[np.ndarray, tuple[int, ...]]] = []  # the open block's gates
     block_qubits: set[int] = set()
+    opened = last = 0  # positions of the open block's first and last gates
     points: list[tuple[int, int | None]] = []
     step = 0
     measured = None  # mma: position of a measure whose ancilla reset comes next
@@ -693,7 +681,7 @@ def _compile(circuit: Circuit, mode: str, ancilla: int | None) -> Plan:
         cells.append(entry)
 
     def walk(body: list) -> None:
-        nonlocal block, block_qubits, step, measured, pos
+        nonlocal block, block_qubits, opened, last, step, measured, pos
         for at, ins in enumerate(body, pos):
             g = ins.gate
             if g is Gate.BARRIER:
@@ -706,8 +694,10 @@ def _compile(circuit: Circuit, mode: str, ancilla: int | None) -> Plan:
                 if block and len(joined) > _BLOCK_QUBITS:
                     close_block()
                     block, joined = [], set(ins.qubits)
+                if not block:
+                    opened = at
                 block.append((ins.resolved_matrix(), ins.qubits))
-                block_qubits = joined
+                block_qubits, last = joined, at
                 continue
             if block:
                 close_block()
@@ -731,12 +721,18 @@ def _compile(circuit: Circuit, mode: str, ancilla: int | None) -> Plan:
         pos += len(body)
 
     def carried() -> tuple[tuple, list]:
+        copy = pos - len(body)  # where the copy just walked starts
+        if block and start <= copy and opened <= copy <= last:
+            # the open block holds a whole copy of this run, so it takes
+            # every later copy whole and grows until the run ends: no later
+            # boundary can repeat this one, and nothing needs comparing
+            return (object(),), []
         # a copy that cut the plan changed len(points): no repeat
         return ((len(points), measured, tuple(qs for _, qs in block)),
                 [(None, u) for u, _ in block])
 
     for body, count in _executed_runs(circuit):
-        end = pos + len(body) * count
+        start, end = pos, pos + len(body) * count
         # a copy with a point never repeats, so a mark falls in one segment
         mark = walk_run(body, count, cells, walk, carried)
         if mark is not None:

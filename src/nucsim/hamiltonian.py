@@ -14,6 +14,10 @@ mapped through the Jordan-Wigner encoding
 
     a+_i = 1/2 (Z_0 ... Z_{i-1}) (X_i - i Y_i)
     a_i  = 1/2 (Z_0 ... Z_{i-1}) (X_i + i Y_i)
+
+``pauli_masks`` alone decodes Pauli words (the X/Z masks of
+arXiv:quant-ph/0406196).  Exact spectra come from LAPACK's eigh, whose last
+bits can vary with the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -21,12 +25,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ResourceLimitError
 
 DENSE_QUBIT_CAP = 14     # dense matrices and exact spectra stop here
+REFERENCE_QUBIT_CAP = 10  # eigenbasis references (predictors, lcu) stop here
 GAP_DISTINCT_TOL = 1e-9  # eigenvalues closer than this count as equal
 _COEFF_EPS = 1e-14       # drop terms below this after simplification
 
@@ -40,12 +46,25 @@ _MUL = {
     ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
 }
 
-_DENSE_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_FLIPS = str.maketrans("IXYZ", "0110")  # X and Y flip their qubit
+_SIGNS = str.maketrans("IXYZ", "0011")  # Y and Z sign it
+
+
+def pauli_masks(letters: str) -> tuple[int, int, int]:
+    """The X/Z-mask form of a Pauli word: its flip mask f (X and Y qubits),
+    sign mask z (Y and Z qubits) and number y of Y letters.  The word acts
+    as (P psi)[i] = (-i)^y (-1)^popcount(i & z) psi[i ^ f]."""
+    return (int(letters.translate(_FLIPS)[::-1], 2),
+            int(letters.translate(_SIGNS)[::-1], 2), letters.count("Y"))
+
+
+@lru_cache(maxsize=64)
+def _parity(w: int) -> np.ndarray:
+    """(-1)^popcount(j) for j < 2^w."""
+    out = np.ones(1)
+    for _ in range(w):
+        out = np.concatenate([out, -out])
+    return out
 
 
 def _check_letters(letters: str, n_qubits: int) -> str:
@@ -146,18 +165,16 @@ class PauliHamiltonian:
         return float(sum(abs(c) for c in self.terms.values()))
 
     def dense(self) -> np.ndarray:
-        """Full 2^n x 2^n matrix; guarded, intended for oracle-scale checks."""
+        """Full 2^n x 2^n matrix, one indexed add per term from its masks
+        (pauli_masks) and no BLAS; guarded, intended for oracle-scale checks."""
         if self.n_qubits > DENSE_QUBIT_CAP:
             raise ResourceLimitError(
                 f"dense form limited to {DENSE_QUBIT_CAP} qubits, got {self.n_qubits}")
-        dim = 2 ** self.n_qubits
-        out = np.zeros((dim, dim), dtype=complex)
+        rows = np.arange(1 << self.n_qubits)
+        out = np.zeros((rows.size, rows.size), dtype=complex)
         for letters, coeff in self.terms.items():
-            acc = np.array([[coeff]], dtype=complex)
-            # qubit 0 is the least significant index bit, so it kron-nests last
-            for q in range(self.n_qubits - 1, -1, -1):
-                acc = np.kron(acc, _DENSE_1Q[letters[q]])
-            out += acc
+            flip, sign, y = pauli_masks(letters)
+            out[rows, rows ^ flip] += coeff * (-1j) ** y * _parity(self.n_qubits)[rows & sign]
         return out
 
 
@@ -189,12 +206,8 @@ def jw_creation(i: int, n_modes: int) -> PauliHamiltonian:
 
 
 def jw_annihilation(i: int, n_modes: int) -> PauliHamiltonian:
-    """Annihilation operator a_i as a two-term Pauli sum."""
-    if not 0 <= i < n_modes:
-        raise ValueError(f"mode {i} out of range")
-    z = "Z" * i
-    pad = "I" * (n_modes - i - 1)
-    return PauliHamiltonian(n_modes, {z + "X" + pad: 0.5, z + "Y" + pad: 0.5j})
+    """Annihilation operator a_i, the adjoint of a+_i."""
+    return jw_creation(i, n_modes).dagger()
 
 
 @dataclass
@@ -286,6 +299,20 @@ def ground_state(h: PauliHamiltonian) -> GroundState:
                        gap=float(above[0] - e0), spectrum=w)
 
 
+def eigen_components(h: PauliHamiltonian, state: np.ndarray):
+    """(energies, vectors, vectors^+ state): the eigenbasis of h by dense
+    eigh, and the state expanded in it; the reference of the predictors and
+    the lcu filter.  Checks the cap and the state's length first."""
+    if h.n_qubits > REFERENCE_QUBIT_CAP:
+        raise ResourceLimitError(
+            f"dense eigenbasis reference needs n <= {REFERENCE_QUBIT_CAP}, got {h.n_qubits}")
+    vec = np.asarray(state, dtype=complex).reshape(-1)
+    if vec.size != 1 << h.n_qubits:
+        raise ValueError(f"state has {vec.size} amplitudes, expected {1 << h.n_qubits}")
+    energies, vectors = np.linalg.eigh(h.dense())
+    return energies, vectors, vectors.conj().T @ vec
+
+
 def shift_rescale(h: PauliHamiltonian, e0: float, scale: float = 1.0) -> PauliHamiltonian:
     """Return (H - e0)/scale by adjusting the identity coefficient."""
     if scale <= 0:
@@ -309,6 +336,8 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
     h = np.asarray(a, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(h).all():
+        raise ValueError("matrix has a non-finite entry")
     if np.max(np.abs(h - h.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(h))):
         raise ValueError("matrix is not Hermitian")
     d = h.shape[0]

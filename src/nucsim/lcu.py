@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProjectionError, ResourceLimitError, SpectrumGuardError
-from .hamiltonian import PauliHamiltonian
+from .errors import ProjectionError, SpectrumGuardError
+from .hamiltonian import PauliHamiltonian, eigen_components
 
-_LCU_QUBIT_CAP = 10      # dense-matrix regime
 _SPECTRUM_BOUND = math.pi / 2.0
 
 
@@ -64,31 +63,21 @@ def lcu_coefficients(m: int, tail_tol: float = 1e-8) -> LcuExpansion:
     return LcuExpansion(m=m, m0=m0, coeffs=coeffs, tail_mass=(total - window) / total)
 
 
-def _eig_checked(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    if h.n_qubits > _LCU_QUBIT_CAP:
-        raise ResourceLimitError(
-            f"dense filter reference needs n <= {_LCU_QUBIT_CAP}, got {h.n_qubits}")
-    energies, vectors = np.linalg.eigh(h.dense())
+def _guarded_components(h: PauliHamiltonian, state: np.ndarray):
+    """eigen_components, for a spectrum inside (-pi/2, pi/2)."""
+    energies, vectors, comps = eigen_components(h, state)
     low, high = float(energies[0]), float(energies[-1])
     if low <= -_SPECTRUM_BOUND or high >= _SPECTRUM_BOUND:
         raise SpectrumGuardError(
             f"spectrum [{low:.6g}, {high:.6g}] leaves (-pi/2, pi/2); rescale first")
-    return energies, vectors
-
-
-def _state_vector(state: np.ndarray, dim: int) -> np.ndarray:
-    vec = np.asarray(state, dtype=complex).reshape(-1)
-    if vec.size != dim:
-        raise ValueError(f"state has {vec.size} amplitudes, expected {dim}")
-    return vec
+    return energies, vectors, comps
 
 
 def apply_cos_filter(h: PauliHamiltonian, m: int, state: np.ndarray) -> np.ndarray:
     """Normalized cos^2m(H') applied to the state, via eigenvalues."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    energies, vectors = _eig_checked(h)
-    comps = vectors.conj().T @ _state_vector(state, energies.size)
+    energies, vectors, comps = _guarded_components(h, state)
     comps *= np.cos(energies) ** (2 * m)
     norm = np.linalg.norm(comps)
     if norm <= 0.0:
@@ -108,16 +97,14 @@ def lcu_reference(h: PauliHamiltonian, expansion: LcuExpansion,
     Each e^{-2iH'k} is applied through the eigendecomposition; the result
     differs from cos^2m(H') by at most tail_mass in operator norm.
     """
-    energies, vectors = _eig_checked(h)
-    comps = vectors.conj().T @ _state_vector(state, energies.size)
+    energies, vectors, comps = _guarded_components(h, state)
     return vectors @ (_window_factor(expansion, energies) * comps)
 
 
 def lcu_success_probability(h: PauliHamiltonian, expansion: LcuExpansion,
                             state: np.ndarray) -> float:
     """Post-selection success <phi|O^2|phi> / (sum |alpha_k|)^2."""
-    energies, vectors = _eig_checked(h)
-    comps = vectors.conj().T @ _state_vector(state, energies.size)
+    energies, vectors, comps = _guarded_components(h, state)
     factor = _window_factor(expansion, energies)
     eta2 = float(np.sum(np.abs(comps) ** 2 * np.abs(factor) ** 2))
     return eta2 / float(np.abs(expansion.coeffs).sum()) ** 2

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit
-from .errors import ProjectionError, ResourceLimitError
-from .hamiltonian import PauliHamiltonian
-
-_PREDICT_QUBIT_CAP = 10   # dense eigendecomposition regime for predictors
+from .errors import ProjectionError
+from .hamiltonian import PauliHamiltonian, eigen_components
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,7 +111,7 @@ class TrialState:
         if amps.size != 2 ** n or amps.size < 2:
             raise ValueError(f"amplitude count {amps.size} is not a power of two")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:  # a NaN norm fails too
             raise ValueError(f"trial vector must be normalized, norm {norm}")
         return cls(n, amplitudes=amps)
 
@@ -158,18 +156,6 @@ def rodeo_probability(energy: float, e_target: float, times) -> float:
     return prob
 
 
-def _eig_components(h: PauliHamiltonian, trial: TrialState):
-    if h.n_qubits > _PREDICT_QUBIT_CAP:
-        raise ResourceLimitError(
-            f"predictors need n <= {_PREDICT_QUBIT_CAP}, got {h.n_qubits}")
-    if trial.n_qubits != h.n_qubits:
-        raise ValueError(
-            f"trial has {trial.n_qubits} qubits, Hamiltonian {h.n_qubits}")
-    energies, vectors = np.linalg.eigh(h.dense())
-    coeffs = vectors.conj().T @ trial.to_vector()
-    return energies, coeffs
-
-
 def predict_success(h: PauliHamiltonian, trial: TrialState,
                     schedule: FilterSchedule) -> tuple[float, float]:
     """Ideal (Trotter-free) success probability and post-filter energy.
@@ -177,7 +163,7 @@ def predict_success(h: PauliHamiltonian, trial: TrialState,
     Eigendecomposes H, damps each component by its predicted amplitude, and
     returns (norm^2 of the damped state, its normalized energy expectation).
     """
-    energies, coeffs = _eig_components(h, trial)
+    energies, _, coeffs = eigen_components(h, trial.to_vector())
     factors = np.array([predicted_amplitude(e, schedule) for e in energies])
     damped = np.abs(factors * coeffs) ** 2
     success = float(damped.sum())

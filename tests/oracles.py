@@ -22,7 +22,10 @@ after it with its parse_qasm: the former QASM parser, which tokenizes the
 whole text up front and parses every statement, kept as the reference for
 the parser that reads line by line and reuses each repeated statement
 line.  expectation_per_term is the engine's former energy loop, one state
-copy per term, kept as the reference for the grouped, copy-free one.
+copy per term, kept as the reference for the grouped, copy-free one; and
+dense_kron after it: the former PauliHamiltonian.dense, one chain of n
+Kronecker products per term, kept as the bit-exact reference for the
+indexed adds from each term's masks.
 """
 
 from __future__ import annotations
@@ -147,6 +150,20 @@ def expectation_per_term(amps: np.ndarray, h: PauliHamiltonian) -> float:
         im = np.einsum("i,i->", a[:, 0], b[:, 1]) - np.einsum("i,i->", a[:, 1], b[:, 0])
         acc += coeff * complex(re, im)
     return float(acc.real)
+
+
+def dense_kron(h: PauliHamiltonian) -> np.ndarray:
+    """h's full 2^n x 2^n matrix by the former PauliHamiltonian.dense: each
+    term a chain of Kronecker products, in term order."""
+    dim = 2 ** h.n_qubits
+    out = np.zeros((dim, dim), dtype=complex)
+    for letters, coeff in h.terms.items():
+        acc = np.array([[coeff]], dtype=complex)
+        # qubit 0 is the least significant index bit, so it kron-nests last
+        for q in range(h.n_qubits - 1, -1, -1):
+            acc = np.kron(acc, _PAULI[letters[q]])
+        out += acc
+    return out
 
 
 def pauli_string_dense(letters: str) -> np.ndarray:

@@ -100,6 +100,11 @@ def test_fused_payloads_must_be_unitary():
         c.fused_1q(2.0 * np.eye(2, dtype=complex), 0)
     with pytest.raises(ValueError):
         c.fused_2q(np.eye(2, dtype=complex), 0, 1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            c.fused_1q(np.full((2, 2), bad), 0)
+        with pytest.raises(ValueError, match="non-finite"):
+            c.fused_2q(np.full((4, 4), bad), 0, 1)
 
 
 def test_counts_exclude_markers():

@@ -604,6 +604,8 @@ def test_from_amplitudes_validation():
     with pytest.raises(ValueError):
         StateVector.from_amplitudes(np.array([1.0, 1.0], dtype=complex))
     with pytest.raises(ValueError):
+        StateVector.from_amplitudes(np.array([np.nan, 0.0], dtype=complex))
+    with pytest.raises(ValueError):
         StateVector(0)
 
 

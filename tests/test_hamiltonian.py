@@ -91,6 +91,30 @@ def test_dense_matches_oracle_on_random_sums():
     assert np.max(np.abs(h.dense() - h.dense().conj().T)) <= 1e-12
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal as uint64 words, so that the sign of a zero counts."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_dense_is_bit_identical_to_kron_chains():
+    rng = np.random.default_rng(19)
+    for trial in range(120):
+        n = int(rng.integers(1, 8))
+        terms = {}
+        for _ in range(int(rng.integers(1, 12))):
+            letters = "".join(rng.choice(list("IXYZ"), size=n))
+            terms[letters] = complex(rng.normal(), rng.normal() if trial % 2 else 0.0)
+        h = ham(n, terms)
+        assert _same_bits(h.dense(), oracles.dense_kron(h))
+        assert _same_bits((-1j * h).dense(), oracles.dense_kron(-1j * h))
+    for n in (1, 2, 3, 4):
+        ops = [jw_creation(i, n) for i in range(n)] + [jw_annihilation(i, n) for i in range(n)]
+        for a in ops:
+            for b in ops:
+                for op in (a, a * b, a * b * a.dagger()):
+                    assert _same_bits(op.dense(), oracles.dense_kron(op))
+
+
 def test_dense_cap():
     with pytest.raises(ResourceLimitError):
         ham(15, {"I" * 15: 1.0}).dense()
@@ -117,6 +141,9 @@ def test_annihilation_lowering_matrix():
 def test_mapped_operator_strings():
     a0 = jw_annihilation(0, 2)
     assert a0.terms == {"XI": 0.5, "YI": 0.5j}
+    assert list(a0.terms) == ["XI", "YI"]
+    with pytest.raises(ValueError):
+        jw_annihilation(2, 2)
     c1 = jw_creation(1, 2)
     assert c1.terms == {"ZX": 0.5, "ZY": -0.5j}
 
@@ -292,6 +319,8 @@ def test_jacobi_agrees_with_library_eigensolver():
 def test_jacobi_rejects_non_hermitian():
     with pytest.raises(ValueError):
         jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        jacobi_eigh(np.full((2, 2), np.nan))
 
 
 def test_eigensolvers_agree_with_characteristic_polynomial():

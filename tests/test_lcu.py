@@ -194,8 +194,25 @@ def test_resource_cap_at_ten_qubits():
     h = PauliHamiltonian(11, {"Z" + "I" * 10: 0.1})
     psi = np.zeros(2 ** 11, dtype=complex)
     psi[0] = 1.0
+    exp = lcu_coefficients(2)
     with pytest.raises(ResourceLimitError):
         apply_cos_filter(h, 1, psi)
+    with pytest.raises(ResourceLimitError):
+        lcu_reference(h, exp, psi)
+    with pytest.raises(ResourceLimitError):
+        lcu_success_probability(h, exp, psi)
+
+
+def test_state_length_is_checked_before_the_spectrum():
+    exp = lcu_coefficients(2)
+    for h in (two_level(0.5), PauliHamiltonian(1, {"Z": 1.6})):  # in and out of range
+        for psi in (np.ones(3) / math.sqrt(3), np.zeros(4)):
+            with pytest.raises(ValueError):
+                apply_cos_filter(h, 1, psi)
+            with pytest.raises(ValueError):
+                lcu_reference(h, exp, psi)
+            with pytest.raises(ValueError):
+                lcu_success_probability(h, exp, psi)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,9 @@ def test_predictor_guards():
     with pytest.raises(ValueError):
         predict_success(two_qubit_h(), TrialState.basis("000"),
                         default_schedule(1, 1))
+    with pytest.raises(ValueError):
+        predict_success(two_qubit_h(), TrialState.vector(np.array([0.6, 0.8])),
+                        default_schedule(1, 1))
 
 
 def test_energy_approaches_ground_state_with_depth():
@@ -194,6 +197,8 @@ def test_trial_state_forms():
         TrialState.vector(np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         TrialState.vector(np.ones(3) / math.sqrt(3))
+    with pytest.raises(ValueError):
+        TrialState.vector(np.array([np.nan, 0, 0, 0]))
 
 
 # ---------------------------------------------------------------------------

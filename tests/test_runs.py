@@ -197,6 +197,12 @@ def _hand_written(case):
         body.h(0)
         body.barrier(0)
         body.cx(0, 1)
+    elif case == "one block spans every copy":  # 4 qubits: the block never closes
+        c.h(3)
+        body.barrier(2)
+        body.cx(0, 1)
+        body.ry(0.3, 2)
+        body.cx(1, 2)
     c.append_run(body.runs[0][0], 7)
     if case != "sampling block in the last copy":
         c.h(2)
@@ -205,9 +211,34 @@ def _hand_written(case):
 
 @pytest.mark.parametrize("case", ["1q product grows", "2q product grows", "points in the body",
                                   "period of two copies", "sampling block in the last copy",
-                                  "adjacent only across copies"])
+                                  "adjacent only across copies", "one block spans every copy"])
 def test_hand_written_runs_match_the_flat_walk(case):
     assert_matches_flat_walk(_hand_written(case), 3)
+
+
+def test_block_spanning_every_copy_holds_nothing_per_copy(monkeypatch):
+    """On 3 qubits every gate of a filter step fits one block of at most 4,
+    so the open block grows through all 1,024 copies of the step's run.
+    Once it holds a whole copy, the compile compares nothing at a copy
+    boundary: the pairs its carried state holds stay within a small multiple
+    of the copy count, where comparing the whole block at every boundary
+    holds about 1.9e7.  The plan is the flat walk's."""
+    trotter, held = 1024, []
+    walk_run = engine.walk_run
+
+    def counting(body, count, cells, walk, carried):
+        def counted():
+            label, pairs = carried()
+            held.append(len(pairs))
+            return label, pairs
+        return walk_run(body, count, cells, walk, counted)
+
+    monkeypatch.setattr(engine, "walk_run", counting)
+    h = PauliHamiltonian(2, {"ZI": 0.15, "IZ": 0.15, "XX": 0.35, "ZZ": -0.5})
+    c = build_filter_circuit(h, default_schedule(0.7, 1), trotter, TrialState.basis("00"), 2)
+    plan = engine._compile(c, "mma", 2)
+    assert 0 < len(held) and sum(held) <= 2 * trotter
+    assert _layout(plan) == _layout(engine._compile(oracles.flat_copy(c), "mma", 2))
 
 
 def test_filter_circuit_stays_in_runs_from_build_to_plan():
