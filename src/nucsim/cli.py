@@ -33,7 +33,7 @@ from .errors import (DegenerateSpectrumError, FilterAssertionError,
                      ResourceLimitError, SpectrumGuardError)
 from .fusion import fuse_pipeline, gate_count
 from .hamiltonian import GroundState, ground_state, load_hamiltonian_text, shift_rescale
-from .lcu import lcu_coefficients, lcu_reference, lcu_success_probability
+from .lcu import _lcu_action, lcu_coefficients
 from .projection import FilterSchedule, TrialState, build_filter_circuit, default_schedule
 from .qasm import emit_qasm, parse_qasm
 
@@ -197,8 +197,7 @@ def cmd_filter_lcu(config: RunConfig) -> int:
     shifted = shift_rescale(h, gs.energy, scale)
     expansion = lcu_coefficients(config.m, config.tail_tol)
     trial = TrialState.basis("0" * h.n_qubits).to_vector()
-    p_s = lcu_success_probability(shifted, expansion, trial)
-    filtered = lcu_reference(shifted, expansion, trial)
+    filtered, p_s = _lcu_action(shifted, expansion, trial)
     norm = np.linalg.norm(filtered)
     if norm <= 0.0:
         raise ProjectionError("filter annihilated the trial state")

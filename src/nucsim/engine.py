@@ -65,6 +65,7 @@ search.  A rejection shot draws as if it ran the plan alone: one
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -559,10 +560,7 @@ def expectation_pauli(state: StateVector, h: PauliHamiltonian) -> float:
 
 def success_product(probs) -> float:
     """Left-to-right float product of per-assertion probabilities."""
-    out = 1.0
-    for p in probs:
-        out *= p
-    return out
+    return math.prod(probs, start=1.0)
 
 
 @dataclass
@@ -881,23 +879,16 @@ def run(circuit: Circuit, mode: str, shots: int, seed: int, ancilla: int | None,
         assert_probs = _execute_mma(state, plan)
         energy = expectation_pauli(state, hamiltonian) if hamiltonian is not None else None
         samples = sample(state, shots, rng)
-        report = RunReport(
-            mode=mode, n_qubits=circuit.n_qubits, shots=shots, seed=seed,
-            ancilla=ancilla, assert_probs=assert_probs,
-            overall_success=success_product(assert_probs), samples=samples,
-            energy=energy, fusion_stats=fusion_stats)
+        fields = dict(assert_probs=assert_probs, overall_success=success_product(assert_probs))
     else:
         accepted, samples, step_rejections, kept = _execute_rejection(
             state, plan, shots, rng, hamiltonian is not None)
         energy = None
         if kept is not None:
             energy = expectation_pauli(StateVector.from_amplitudes(kept), hamiltonian)
-        report = RunReport(
-            mode=mode, n_qubits=circuit.n_qubits, shots=shots, seed=seed,
-            ancilla=ancilla, assert_probs=[],
-            overall_success=accepted / shots, samples=samples, energy=energy,
-            fusion_stats=fusion_stats, accepted=accepted,
-            rejected=shots - accepted, step_rejections=step_rejections)
-
-    report.wall_time_s = time.perf_counter() - t0
-    return report
+        fields = dict(assert_probs=[], overall_success=accepted / shots, accepted=accepted,
+                      rejected=shots - accepted, step_rejections=step_rejections)
+    return RunReport(mode=mode, n_qubits=circuit.n_qubits, shots=shots, seed=seed,
+                     ancilla=ancilla, samples=samples, energy=energy,
+                     fusion_stats=fusion_stats, wall_time_s=time.perf_counter() - t0,
+                     **fields)

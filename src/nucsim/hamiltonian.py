@@ -16,8 +16,9 @@ mapped through the Jordan-Wigner encoding
     a_i  = 1/2 (Z_0 ... Z_{i-1}) (X_i + i Y_i)
 
 ``pauli_masks`` alone decodes Pauli words (the X/Z masks of
-arXiv:quant-ph/0406196).  Exact spectra come from LAPACK's eigh, whose last
-bits can vary with the BLAS thread count.
+arXiv:quant-ph/0406196), for dense matrices and for products of words
+alike.  Exact spectra come from LAPACK's eigh, whose last bits can vary
+with the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -38,16 +39,10 @@ _COEFF_EPS = 1e-14       # drop terms below this after simplification
 
 _LETTERS = "IXYZ"
 
-# single-qubit products: (p, q) -> (phase, p*q)
-_MUL = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("X", "X"): (1, "I"), ("X", "Y"): (1j, "Z"), ("X", "Z"): (-1j, "Y"),
-    ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
-    ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
-}
-
 _FLIPS = str.maketrans("IXYZ", "0110")  # X and Y flip their qubit
 _SIGNS = str.maketrans("IXYZ", "0011")  # Y and Z sign it
+_WORD = str.maketrans("0123", "IXZY")   # flip bit + 2 * sign bit -> letter
+_PHASES = (1, -1j, -1, 1j)              # (-i)^k
 
 
 def pauli_masks(letters: str) -> tuple[int, int, int]:
@@ -140,18 +135,21 @@ class PauliHamiltonian:
         if isinstance(other, (int, float, complex)):
             return self.__rmul__(other)
         self._require_same_space(other)
+        # a word is (-i)^y Z^z X^f, so P1 P2 has masks f1 ^ f2, z1 ^ z2 and
+        # phase (-i)^k: both words' phases less the product word's, and a
+        # sign per qubit where X of P1 passes Z of P2.  The key adds the
+        # masks' binary digits as hex ones, flip + 2 sign, carry-free.
+        n = self.n_qubits
+        right = [(pauli_masks(s2), c2) for s2, c2 in other.terms.items()]
         out: dict[str, complex] = {}
         for s1, c1 in self.terms.items():
-            for s2, c2 in other.terms.items():
-                phase = c1 * c2
-                letters = []
-                for p, q in zip(s1, s2):
-                    f, r = _MUL[(p, q)]
-                    phase *= f
-                    letters.append(r)
-                key = "".join(letters)
-                out[key] = out.get(key, 0j) + phase
-        return PauliHamiltonian(self.n_qubits, out)
+            f1, z1, y1 = pauli_masks(s1)
+            for (f2, z2, y2), c2 in right:
+                f, z = f1 ^ f2, z1 ^ z2
+                k = (y1 + y2 - (f & z).bit_count() + 2 * (f1 & z2).bit_count()) % 4
+                key = f"{int(f'{f:b}', 16) + 2 * int(f'{z:b}', 16):0{n}x}"[::-1].translate(_WORD)
+                out[key] = out.get(key, 0j) + c1 * c2 * _PHASES[k]
+        return PauliHamiltonian(n, out)
 
     def dagger(self) -> "PauliHamiltonian":
         return PauliHamiltonian(self.n_qubits, {s: c.conjugate() for s, c in self.terms.items()})

@@ -90,6 +90,16 @@ def _window_factor(expansion: LcuExpansion, energies: np.ndarray) -> np.ndarray:
     return np.exp(-2.0j * np.outer(energies, ks)) @ expansion.coeffs
 
 
+def _lcu_action(h: PauliHamiltonian, expansion: LcuExpansion,
+                state: np.ndarray) -> tuple[np.ndarray, float]:
+    """(lcu_reference, lcu_success_probability) from one decomposition."""
+    energies, vectors, comps = _guarded_components(h, state)
+    factor = _window_factor(expansion, energies)
+    eta2 = float(np.sum(np.abs(comps) ** 2 * np.abs(factor) ** 2))
+    return (vectors @ (factor * comps),
+            eta2 / float(np.abs(expansion.coeffs).sum()) ** 2)
+
+
 def lcu_reference(h: PauliHamiltonian, expansion: LcuExpansion,
                   state: np.ndarray) -> np.ndarray:
     """Unnormalized action of the truncated sum of evolutions on the state.
@@ -97,14 +107,10 @@ def lcu_reference(h: PauliHamiltonian, expansion: LcuExpansion,
     Each e^{-2iH'k} is applied through the eigendecomposition; the result
     differs from cos^2m(H') by at most tail_mass in operator norm.
     """
-    energies, vectors, comps = _guarded_components(h, state)
-    return vectors @ (_window_factor(expansion, energies) * comps)
+    return _lcu_action(h, expansion, state)[0]
 
 
 def lcu_success_probability(h: PauliHamiltonian, expansion: LcuExpansion,
                             state: np.ndarray) -> float:
     """Post-selection success <phi|O^2|phi> / (sum |alpha_k|)^2."""
-    energies, vectors, comps = _guarded_components(h, state)
-    factor = _window_factor(expansion, energies)
-    eta2 = float(np.sum(np.abs(comps) ** 2 * np.abs(factor) ** 2))
-    return eta2 / float(np.abs(expansion.coeffs).sum()) ** 2
+    return _lcu_action(h, expansion, state)[1]

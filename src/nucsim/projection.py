@@ -60,7 +60,10 @@ class FilterSchedule:
 
     @classmethod
     def from_json(cls, text: str) -> "FilterSchedule":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("schedule JSON is nested too deeply") from None
         if not isinstance(data, dict) or not isinstance(data.get("steps"), list):
             raise ValueError('schedule JSON must be {"steps": [...]}')
         steps = []
@@ -130,18 +133,12 @@ class TrialState:
 
 def predicted_amplitude(energy: float, schedule: FilterSchedule) -> float:
     """Surviving-amplitude factor prod_i cos(E t_i + d_i) for one eigenvalue."""
-    factor = 1.0
-    for t, delta in schedule.steps:
-        factor *= math.cos(energy * t + delta)
-    return factor
+    return math.prod((math.cos(energy * t + delta) for t, delta in schedule.steps), start=1.0)
 
 
 def phase_penalty(schedule: FilterSchedule) -> float:
     """Success-probability cost of nonzero phases: prod_i cos^2(d_i)."""
-    penalty = 1.0
-    for _, delta in schedule.steps:
-        penalty *= math.cos(delta) ** 2
-    return penalty
+    return math.prod((math.cos(delta) ** 2 for _, delta in schedule.steps), start=1.0)
 
 
 def rodeo_probability(energy: float, e_target: float, times) -> float:
@@ -150,10 +147,7 @@ def rodeo_probability(energy: float, e_target: float, times) -> float:
     Averaged over random times with |E_target - E| sigma_t >> 1, each factor
     averages to 1/2 in amplitude, so the product is suppressed like 4^-N.
     """
-    prob = 1.0
-    for t in times:
-        prob *= math.cos((e_target - energy) * t / 2.0) ** 2
-    return prob
+    return math.prod((math.cos((e_target - energy) * t / 2.0) ** 2 for t in times), start=1.0)
 
 
 def predict_success(h: PauliHamiltonian, trial: TrialState,

@@ -287,77 +287,64 @@ class _Parser:
         if tok.kind != "ID":
             self._error(f"expected a statement, found {tok.text!r}")
         word = tok.text
-        if word == "qreg":
-            self._parse_qreg()
-        elif word == "creg":
-            self._parse_creg()
+        if word in ("qreg", "creg"):
+            self._parse_register()
+        elif word in ("gate", "opaque"):
+            self._error("user-defined gate blocks are not supported", tok)
+        elif word == "if":
+            self._error("classical control is not supported", tok)
+        elif word not in ("measure", "reset", "barrier") and word not in QASM_NAMES:
+            self._error(f"unknown statement or gate {word!r}", tok)
+        elif self.circuit is None:
+            self._error("statement before any qreg declaration", tok)
         elif word == "measure":
             self._parse_measure()
         elif word == "reset":
             self._parse_reset()
         elif word == "barrier":
             self._parse_barrier()
-        elif word in QASM_NAMES:
-            self._parse_gate()
-        elif word in ("gate", "opaque"):
-            self._error("user-defined gate blocks are not supported", tok)
-        elif word == "if":
-            self._error("classical control is not supported", tok)
         else:
-            self._error(f"unknown statement or gate {word!r}", tok)
+            self._parse_gate()
 
-    def _parse_qreg(self) -> None:
-        tok = self._next()
-        if self.qreg is not None:
-            self._error("only one quantum register is supported", tok)
-        name, index, name_tok = self._reg_operand()
-        if index is None:
+    def _parse_register(self) -> None:
+        """A qreg or creg statement: its size present and positive, its name
+        that of no register held before the qreg, nor of the qreg itself
+        (the circuit refuses a creg name it already holds)."""
+        kw = self._next()
+        if kw.text == "qreg" and self.qreg is not None:
+            self._error("only one quantum register is supported", kw)
+        name, size, name_tok = self._reg_operand()
+        if size is None:
             self._error("expected a register size", name_tok)
-        if index < 1:
+        if size < 1:
             self._error("register size must be positive", name_tok)
         self._expect("SYM", ";")
-        if any(held == name for held, _ in self.pre_cregs):
+        if name in (dict(self.pre_cregs) if self.circuit is None else (self.qreg[0],)):
             self._error(f"duplicate register name {name!r}", name_tok)
-        self.qreg = (name, index)
-        self.circuit = Circuit(index, self.pre_cregs)
-
-    def _parse_creg(self) -> None:
-        self._next()
-        name, index, name_tok = self._reg_operand()
-        if index is None:
-            self._error("expected a register size", name_tok)
-        if index < 1:
-            self._error("register size must be positive", name_tok)
-        self._expect("SYM", ";")
-        if self.circuit is None:
-            # cregs may legally precede the qreg; hold them until it appears
-            if any(held == name for held, _ in self.pre_cregs):
-                self._error(f"duplicate register name {name!r}", name_tok)
-            self.pre_cregs.append((name, index))
-            return
-        if name == self.qreg[0]:
-            self._error(f"duplicate register name {name!r}", name_tok)
-        try:
-            self.circuit.add_creg(name, index)
-        except ValueError as exc:
-            self._error(str(exc), name_tok)
-
-    def _require_circuit(self, tok: _Token) -> Circuit:
-        if self.circuit is None:
-            self._error("statement before any qreg declaration", tok)
-        return self.circuit
+        if kw.text == "qreg":
+            self.qreg = (name, size)
+            self.circuit = Circuit(size, self.pre_cregs)
+        elif self.circuit is None:
+            self.pre_cregs.append((name, size))  # cregs may precede the qreg
+        else:
+            try:
+                self.circuit.add_creg(name, size)
+            except ValueError as exc:
+                self._error(str(exc), name_tok)
 
     def _parse_gate(self) -> None:
         name_tok = self._next()
         gate = QASM_NAMES[name_tok.text]
-        circuit = self._require_circuit(name_tok)
         params: tuple[float, ...] = ()
         if self._peek().text == "(":
             self._next()
-            values = [self._expr()]
-            while self._peek().text == ",":
-                self._next()
-                values.append(self._expr())
+            try:
+                values = [self._expr()]
+                while self._peek().text == ",":
+                    self._next()
+                    values.append(self._expr())
+            except RecursionError:
+                self._error(f"{gate.value} has an angle expression nested too deeply", name_tok)
             self._expect("SYM", ")")
             params = tuple(values)
         if len(params) != gate.n_params:
@@ -375,11 +362,11 @@ class _Parser:
                         name_tok)
         if len(set(qubits)) != len(qubits):
             self._error(f"duplicate qubit operand in {gate.value}", name_tok)
-        circuit.gate_op(gate, tuple(qubits), params)
+        self.circuit.gate_op(gate, tuple(qubits), params)
 
     def _parse_measure(self) -> None:
-        kw = self._next()
-        circuit = self._require_circuit(kw)
+        self._next()
+        circuit = self.circuit
         qname, qindex, qtok = self._reg_operand()
         self._expect("ARROW")
         cname, cindex, ctok = self._reg_operand()
@@ -406,22 +393,20 @@ class _Parser:
             circuit.measure(qindex, circuit.clbit_index(cname, cindex))
 
     def _parse_reset(self) -> None:
-        kw = self._next()
-        circuit = self._require_circuit(kw)
+        self._next()
         name, index, tok = self._reg_operand()
         self._expect("SYM", ";")
         for q in self._qubits(name, index, tok):
-            circuit.reset(q)
+            self.circuit.reset(q)
 
     def _parse_barrier(self) -> None:
-        kw = self._next()
-        circuit = self._require_circuit(kw)
+        self._next()
         qubits = [*self._qubits(*self._reg_operand())]
         while self._peek().text == ",":
             self._next()
             qubits += self._qubits(*self._reg_operand())
         self._expect("SYM", ";")
-        circuit.barrier(*dict.fromkeys(qubits))  # first occurrences, in order
+        self.circuit.barrier(*dict.fromkeys(qubits))  # first occurrences, in order
 
 
 # A line of a Trotter slice may recur inside the slice (a basis change and

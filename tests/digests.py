@@ -20,7 +20,10 @@ under the same thread setting, give the same bytes in every family:
               with their counts, blocks, points
 ``operators`` ``prepare``, ``spectrum`` and ``filter-lcu`` through
               ``cli.main`` on a fixed set of operators, a second-quantized
-              file among them
+              file among them, and the exact terms of each operator as
+              loaded: word and ``repr`` of each coefficient, in
+              ``sorted_terms()`` order, which pins the Pauli algebra where
+              an eigensolver would round a change away
 
 Not collected by pytest.  It reads ``perfbench/workloads.py`` and changes
 nothing there.
@@ -48,7 +51,7 @@ from nucsim import (PauliHamiltonian, TrialState, build_filter_circuit, cli,  # 
                     default_schedule, emit_qasm, engine, fuse_pipeline, infer_ancilla,
                     parse_qasm, run)
 from nucsim.errors import FilterAssertionError, MmaStructureError  # noqa: E402
-from nucsim.hamiltonian import format_pauli_text  # noqa: E402
+from nucsim.hamiltonian import format_pauli_text, load_hamiltonian_text  # noqa: E402
 
 SEEDS = (0, 1, 2)
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -194,9 +197,12 @@ def operator_files(operators: Family, workdir: Path) -> None:
     for n, n_terms in ((3, 6), (5, 12), (7, 20), (9, 30), (10, 40)):
         texts[f"random{n}"] = random_pauli_text(rng, n, n_terms)
     texts["pairing6"] = pairing_text(3)
+    texts["pairing8"] = pairing_text(4)
     for name, text in texts.items():
         path = workdir / f"{name}.txt"
         path.write_text(text, encoding="utf-8")
+        operators.add(f"{name} terms",
+                      [[s, repr(c)] for s, c in load_hamiltonian_text(text).sorted_terms()])
         operators.add(f"{name} spectrum", cli_call(["spectrum", "--hamiltonian", str(path)]))
         operators.add(f"{name} filter-lcu",
                       cli_call(["filter-lcu", "--hamiltonian", str(path), "--m", "6"]))

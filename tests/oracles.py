@@ -25,7 +25,11 @@ line.  expectation_per_term is the engine's former energy loop, one state
 copy per term, kept as the reference for the grouped, copy-free one; and
 dense_kron after it: the former PauliHamiltonian.dense, one chain of n
 Kronecker products per term, kept as the bit-exact reference for the
-indexed adds from each term's masks.
+indexed adds from each term's masks; pauli_product: the former
+PauliHamiltonian.__mul__, letter by letter through a table, kept as the
+bit-exact reference for the product from X/Z masks; and float_product: the
+former loop of the four float products, kept as the reference for
+math.prod.
 """
 
 from __future__ import annotations
@@ -163,6 +167,39 @@ def dense_kron(h: PauliHamiltonian) -> np.ndarray:
         for q in range(h.n_qubits - 1, -1, -1):
             acc = np.kron(acc, _PAULI[letters[q]])
         out += acc
+    return out
+
+
+# single-qubit products: (p, q) -> (phase, p*q)
+_MUL = {
+    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
+    ("X", "I"): (1, "X"), ("X", "X"): (1, "I"), ("X", "Y"): (1j, "Z"), ("X", "Z"): (-1j, "Y"),
+    ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
+    ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
+}
+
+
+def pauli_product(a: PauliHamiltonian, b: PauliHamiltonian) -> PauliHamiltonian:
+    """a * b by the former letter-by-letter product through _MUL."""
+    out: dict[str, complex] = {}
+    for s1, c1 in a.terms.items():
+        for s2, c2 in b.terms.items():
+            phase = c1 * c2
+            letters = []
+            for p, q in zip(s1, s2):
+                f, r = _MUL[(p, q)]
+                phase *= f
+                letters.append(r)
+            key = "".join(letters)
+            out[key] = out.get(key, 0j) + phase
+    return PauliHamiltonian(a.n_qubits, out)
+
+
+def float_product(factors) -> float:
+    """Left-to-right product from 1.0."""
+    out = 1.0
+    for f in factors:
+        out *= f
     return out
 
 
@@ -807,10 +844,13 @@ class _Parser:
         params: tuple[float, ...] = ()
         if self._peek().text == "(":
             self._next()
-            values = [self._expr()]
-            while self._peek().text == ",":
-                self._next()
-                values.append(self._expr())
+            try:
+                values = [self._expr()]
+                while self._peek().text == ",":
+                    self._next()
+                    values.append(self._expr())
+            except RecursionError:
+                self._error(f"{gate.value} has an angle expression nested too deeply", name_tok)
             self._expect("SYM", ")")
             params = tuple(values)
         if len(params) != gate.n_params:

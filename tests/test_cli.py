@@ -370,7 +370,8 @@ def test_prepare_with_a_malformed_schedule_exits_2(workdir, tmp_path, capsys):
     sched = tmp_path / "sched.json"
     for steps, fragment in (('[{"t": null}]', "needs numbers"),
                             ('[{"t": Infinity}]', "positive and finite"),
-                            ('[{"t": 1.0, "delta": NaN}]', "phases must be finite")):
+                            ('[{"t": 1.0, "delta": NaN}]', "phases must be finite"),
+                            ("[" * 1000 + "]" * 1000, "nested too deeply")):
         sched.write_text('{"steps": %s}' % steps, encoding="utf-8")
         code, _, err = run_cli(capsys, "prepare", "--hamiltonian", str(workdir / "pair.txt"),
                                "--schedule", str(sched), "--output", str(tmp_path / "s.qasm"))

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -806,12 +807,14 @@ def test_expectation_allocates_no_state_vector():
 
 def test_success_product_is_left_to_right():
     probs = [0.29602, 0.48617, 0.69349, 0.74823, 0.73060, 0.77238, 0.93470, 0.95811]
-    out = 1.0
-    for p in probs:
-        out *= p
-    assert success_product(probs) == out
     assert success_product([]) == 1.0
     assert success_product(probs) == pytest.approx(0.037738, abs=5e-6)
+    rng = np.random.default_rng(37)
+    for factors in ([], probs, np.array(probs), list(np.array(probs)), [0.5, -0.0, 3],
+                    [1e-300, 1e-300, 1e300], *(rng.random(int(rng.integers(1, 40)))
+                                              for _ in range(50))):
+        got, want = success_product(factors), oracles.float_product(factors)
+        assert type(got) is type(want) and struct.pack("<d", got) == struct.pack("<d", want)
 
 
 # ---------------------------------------------------------------------------

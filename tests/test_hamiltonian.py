@@ -1,5 +1,7 @@
 """Pauli-sum algebra, fermionic mapping, diagonalization, and text formats."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,38 @@ def test_dense_is_bit_identical_to_kron_chains():
             for b in ops:
                 for op in (a, a * b, a * b * a.dagger()):
                     assert _same_bits(op.dense(), oracles.dense_kron(op))
+
+
+def _same_terms(a: PauliHamiltonian, b: PauliHamiltonian) -> bool:
+    """Same words in the same order, coefficients equal as uint64 words."""
+    return list(a.terms) == list(b.terms) and _same_bits(
+        np.array(list(a.terms.values()), dtype=complex),
+        np.array(list(b.terms.values()), dtype=complex))
+
+
+def test_products_are_bit_identical_to_the_letter_table():
+    coeffs = [1.0, -0.5j, complex(0.3, -0.0), complex(-0.0, 0.7), complex(-1.2, 0.4)]
+    for n in (1, 2, 3):
+        words = ["".join(w) for w in itertools.product("IXYZ", repeat=n)]
+        for i, a in enumerate(words):
+            for j, b in enumerate(words):
+                x, y = ham(n, {a: coeffs[i % 5]}), ham(n, {b: coeffs[(i + j) % 5]})
+                assert _same_terms(x * y, oracles.pauli_product(x, y))
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        x, y = (ham(n, {"".join(rng.choice(list("IXYZ"), size=n)):
+                        complex(rng.normal(), rng.normal()) * rng.choice([1, 1j, -1, -1j])
+                        for _ in range(int(rng.integers(1, 9)))}) for _ in range(2))
+        assert _same_terms(x * y, oracles.pauli_product(x, y))
+    for n in (2, 4, 6):
+        ops = [jw_creation(i, n) for i in range(n)] + [jw_annihilation(i, n) for i in range(n)]
+        for a in ops:
+            for b in ops:
+                assert _same_terms(a * b, oracles.pauli_product(a, b))
+                for c in ops[::3]:
+                    want = oracles.pauli_product(oracles.pauli_product(a, b), c)
+                    assert _same_terms(a * b * c, want)
 
 
 def test_dense_cap():

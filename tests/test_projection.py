@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -102,6 +103,27 @@ def test_rodeo_probability_examples():
     assert rodeo_probability(1.3, 1.3, [0.4, 0.8, 1.2]) == 1.0
     assert rodeo_probability(0.0, 1.0, [math.pi]) <= 1e-12
     assert rodeo_probability(0.0, 2.0, [0.5]) == pytest.approx(math.cos(0.5) ** 2)
+
+
+def test_predictors_are_left_to_right_products():
+    rng = np.random.default_rng(41)
+    for trial in range(200):
+        steps = tuple((float(t), float(d)) for t, d in
+                      rng.uniform(0.01, 4.0, size=(int(rng.integers(1, 12)), 2)))
+        steps = steps if trial % 2 else tuple((t, 0.0) for t, _ in steps)
+        energy = rng.normal() if trial % 3 else np.float64(rng.normal())
+        times = [t for t, _ in steps] if trial % 5 else rng.uniform(0.1, 3.0, size=trial % 7)
+        schedule = FilterSchedule(steps)
+        pairs = [
+            (predicted_amplitude(energy, schedule),
+             [math.cos(energy * t + d) for t, d in schedule.steps]),
+            (phase_penalty(schedule), [math.cos(d) ** 2 for _, d in schedule.steps]),
+            (rodeo_probability(energy, 0.3, times),
+             [math.cos((0.3 - energy) * t / 2.0) ** 2 for t in times]),
+        ]
+        for got, factors in pairs:
+            want = oracles.float_product(factors)
+            assert type(got) is type(want) and struct.pack("<d", got) == struct.pack("<d", want)
 
 
 def test_rodeo_suppression_monte_carlo():

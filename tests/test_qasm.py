@@ -128,6 +128,20 @@ def test_comments_and_whitespace_ignored():
     (HEADER + "qreg q[2];\nrz(1e999) q[0];\n", 4, "rz has a non-finite angle"),
     (HEADER + "qreg q[2];\nrx(1e999) q[0];\n", 4, "column 1: rx has a non-finite angle"),
     (HEADER + "qreg q[2];\nu3(0, 1e308*10-1e308*10, 0) q[0];\n", 4, "non-finite"),
+    (HEADER + "creg c[1];\ncreg c[2];\nqreg q[1];\n", 4,
+     "column 6: duplicate register name 'c'"),
+    (HEADER + "qreg q[1];\ncreg c[1];\ncreg c[2];\n", 5,
+     "column 6: classical register 'c' already declared"),
+    (HEADER + "creg c[1];\nmeasure q[0] -> c[0];\nqreg q[1];\n", 4,
+     "column 1: statement before any qreg declaration"),
+    (HEADER + "reset q[0];\nqreg q[1];\n", 3, "column 1: statement before any qreg"),
+    (HEADER + "  barrier q;\nqreg q[1];\n", 3, "column 3: statement before any qreg"),
+    (HEADER + "qreg q[1];\ncreg c[0];\n", 4, "column 6: register size must be positive"),
+    (HEADER + "qreg q;\n", 3, "column 6: expected a register size"),
+    pytest.param(HEADER + "qreg q[1];\n  rz(" + "(" * 250 + "1" + ")" * 250 + ") q[0];\n", 4,
+                 "column 3: rz has an angle expression nested too deeply", id="deep-parentheses"),
+    pytest.param(HEADER + "qreg q[1];\nu3(0, " + "-" * 1000 + "1, 0) q[0];\n", 4,
+                 "column 1: u3 has an angle expression nested too deeply", id="deep-unary-minus"),
 ])
 def test_errors_carry_position(snippet, line, fragment):
     with pytest.raises(QasmError) as exc:
