@@ -9,12 +9,13 @@ Subcommands:
 - ``filter-lcu``  Hamiltonian in, truncated-expansion filter report out
 
 Exit codes: 0 success, 2 parse or configuration error, 3 assertion failure,
-4 resource guard.  ``--threads`` (default from NUCSIM_THREADS) is validated
-but does not yet change how a run is scheduled, so it changes no reported
-number; reports are bitwise reproducible for a fixed seed.  ``simulate`` and
-``fuse`` give the same bytes under any BLAS thread count; ``spectrum``,
-``prepare`` and ``filter-lcu`` diagonalize with LAPACK, whose last bits can
-depend on it.
+4 resource guard; ``simulate`` refuses a register too wide for memory at its
+``qreg`` line, before any statement expands.  ``--threads`` (default from
+NUCSIM_THREADS) is validated but does not yet change how a run is
+scheduled, so it changes no reported number; reports are bitwise
+reproducible for a fixed seed.  ``simulate`` and ``fuse`` give the same
+bytes under any BLAS thread count; ``spectrum``, ``prepare`` and
+``filter-lcu`` diagonalize with LAPACK, whose last bits can depend on it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import infer_ancilla, run
+from .engine import _check_width, infer_ancilla, run
 from .errors import (DegenerateSpectrumError, FilterAssertionError,
                      MmaStructureError, ProjectionError, QasmError,
                      ResourceLimitError, SpectrumGuardError)
@@ -35,12 +36,14 @@ from .fusion import fuse_pipeline, gate_count
 from .hamiltonian import GroundState, ground_state, load_hamiltonian_text, shift_rescale
 from .lcu import _lcu_action, lcu_coefficients
 from .projection import FilterSchedule, TrialState, build_filter_circuit, default_schedule
-from .qasm import emit_qasm, parse_qasm
+from .qasm import _Parser, emit_qasm, parse_qasm
 
-_CONFIG_ERRORS = (QasmError, MmaStructureError, DegenerateSpectrumError,
-                  SpectrumGuardError, ValueError, OSError, KeyError)
-_ASSERT_ERRORS = (FilterAssertionError, ProjectionError)
-_RESOURCE_ERRORS = (ResourceLimitError, MemoryError)
+# the exit code of each error group; the groups share no class
+_EXIT_CODES = {3: (FilterAssertionError, ProjectionError),
+               4: (ResourceLimitError, MemoryError),
+               2: (QasmError, MmaStructureError, DegenerateSpectrumError,
+                   SpectrumGuardError, ValueError, OSError, KeyError)}
+_ERRORS = sum(_EXIT_CODES.values(), ())
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,9 +104,7 @@ def _json_out(data: dict, path: str | None) -> None:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    if config.input is None:
-        raise ValueError("simulate needs --input")
-    circuit = parse_qasm(_read_text(config.input))
+    circuit = _Parser(_read_text(config.input), _check_width).parse()
     stats = None
     fused = circuit
     if not config.no_fuse:
@@ -125,8 +126,6 @@ def cmd_simulate(config: RunConfig) -> int:
 
 
 def cmd_fuse(config: RunConfig) -> int:
-    if config.input is None:
-        raise ValueError("fuse needs --input")
     fused, stats = fuse_pipeline(parse_qasm(_read_text(config.input)))
     if config.output is not None:
         _write_output(emit_qasm(fused, decompose=config.decompose), config.output)
@@ -147,8 +146,6 @@ def _load_schedule(config: RunConfig, h) -> tuple[FilterSchedule, GroundState | 
 
 
 def cmd_prepare(config: RunConfig) -> int:
-    if config.hamiltonian is None:
-        raise ValueError("prepare needs --hamiltonian")
     h = load_hamiltonian_text(_read_text(config.hamiltonian))
     schedule, gs = _load_schedule(config, h)
     if config.e0 is not None:
@@ -178,8 +175,6 @@ def cmd_prepare(config: RunConfig) -> int:
 
 
 def cmd_spectrum(config: RunConfig) -> int:
-    if config.hamiltonian is None:
-        raise ValueError("spectrum needs --hamiltonian")
     gs = ground_state(load_hamiltonian_text(_read_text(config.hamiltonian)))
     _json_out({"eigenvalues": [float(e) for e in gs.spectrum],
                "e0": gs.energy, "gap": gs.gap}, config.output)
@@ -187,8 +182,6 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 
 def cmd_filter_lcu(config: RunConfig) -> int:
-    if config.hamiltonian is None:
-        raise ValueError("filter-lcu needs --hamiltonian")
     h = load_hamiltonian_text(_read_text(config.hamiltonian))
     gs = ground_state(h)
     # map the spectrum into (-pi/2, pi/2) with the ground state at 0
@@ -283,15 +276,9 @@ def main(argv=None) -> int:
             args.threads = _default_threads()
         config = RunConfig.from_args(args)
         return _COMMANDS[config.command](config)
-    except _ASSERT_ERRORS as exc:
+    except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _RESOURCE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for code, group in _EXIT_CODES.items() if isinstance(exc, group))
 
 
 if __name__ == "__main__":

@@ -872,8 +872,8 @@ def run(circuit: Circuit, mode: str, shots: int, seed: int, ancilla: int | None,
             or ancilla is not None and not 0 <= ancilla < circuit.n_qubits):
         raise MmaStructureError(f"ancilla index {ancilla} out of range")
     t0 = time.perf_counter()
-    plan = _compile(circuit, mode, ancilla)
     state = StateVector(circuit.n_qubits)
+    plan = _compile(circuit, mode, ancilla)
 
     if mode == "mma":
         assert_probs = _execute_mma(state, plan)

@@ -11,6 +11,9 @@ Conventions pinned here:
     U1(lam) = diag(1, e^{i lam})
     RZ(theta) = e^{-i theta/2} U1(theta)        (symmetric phases)
     RZZ(theta) = diag(1, e^{i theta}, e^{i theta}, 1)   (qelib1 body)
+    SWAP, CSWAP, RCCX, RC3X = products of their qelib1 bodies, for example
+        swap a,b = cx a,b; cx b,a; cx a,b
+        cswap a,b,c = cx c,b; ccx a,b,c; cx c,b
 
 C1 and C2 are fusion products carrying explicit 2x2 / 4x4 payloads; they have
 no closed-form matrix here and no OpenQASM name.
@@ -135,6 +138,9 @@ def _controlled(u: np.ndarray, n_controls: int) -> np.ndarray:
     return out
 
 
+_CX = _controlled(_X, 1)
+
+
 def _slot_index(slots: tuple[int, ...], n_slots: int) -> np.ndarray:
     """Where _lift puts the entries of a matrix on `slots`: flat positions
     in the 2^n_slots square matrix, for each setting t of the other slots in
@@ -207,21 +213,6 @@ def swap_conjugate(u: np.ndarray) -> np.ndarray:
     return sort_operands(u, (1, 0))[0]
 
 
-def _swap_matrix() -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    for c in range(2):
-        for t in range(2):
-            m[t + 2 * c, c + 2 * t] = 1
-    return m
-
-
-def _cswap_matrix() -> np.ndarray:
-    # control slot 0, swap slots 1 and 2
-    m = np.eye(8, dtype=complex)
-    m[[3, 5]] = m[[5, 3]]
-    return m
-
-
 def _rxx(theta: float) -> np.ndarray:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return c * np.eye(4) - 1j * s * np.kron(_X, _X)
@@ -236,10 +227,9 @@ def _rccx_matrix() -> np.ndarray:
     # literal qelib1 body on slots (a, b, c) = (0, 1, 2)
     u2_0pi = _u3(math.pi / 2, 0.0, math.pi)
     t, tdg = _u1(math.pi / 4), _u1(-math.pi / 4)
-    cx = _controlled(_X, 1)
     return _compose([
-        (u2_0pi, (2,)), (t, (2,)), (cx, (1, 2)), (tdg, (2,)),
-        (cx, (0, 2)), (t, (2,)), (cx, (1, 2)), (tdg, (2,)), (u2_0pi, (2,)),
+        (u2_0pi, (2,)), (t, (2,)), (_CX, (1, 2)), (tdg, (2,)),
+        (_CX, (0, 2)), (t, (2,)), (_CX, (1, 2)), (tdg, (2,)), (u2_0pi, (2,)),
     ])[1]
 
 
@@ -247,12 +237,11 @@ def _rc3x_matrix() -> np.ndarray:
     # literal qelib1 body on slots (a, b, c, d) = (0, 1, 2, 3)
     u2_0pi = _u3(math.pi / 2, 0.0, math.pi)
     t, tdg = _u1(math.pi / 4), _u1(-math.pi / 4)
-    cx = _controlled(_X, 1)
     return _compose([
-        (u2_0pi, (3,)), (t, (3,)), (cx, (2, 3)), (tdg, (3,)), (u2_0pi, (3,)),
-        (cx, (0, 3)), (t, (3,)), (cx, (1, 3)), (tdg, (3,)),
-        (cx, (0, 3)), (t, (3,)), (cx, (1, 3)), (tdg, (3,)),
-        (u2_0pi, (3,)), (t, (3,)), (cx, (2, 3)), (tdg, (3,)), (u2_0pi, (3,)),
+        (u2_0pi, (3,)), (t, (3,)), (_CX, (2, 3)), (tdg, (3,)), (u2_0pi, (3,)),
+        (_CX, (0, 3)), (t, (3,)), (_CX, (1, 3)), (tdg, (3,)),
+        (_CX, (0, 3)), (t, (3,)), (_CX, (1, 3)), (tdg, (3,)),
+        (u2_0pi, (3,)), (t, (3,)), (_CX, (2, 3)), (tdg, (3,)), (u2_0pi, (3,)),
     ])[1]
 
 
@@ -266,13 +255,13 @@ _FIXED = {
     Gate.SDG: np.diag([1, -1j]).astype(complex),
     Gate.T: np.diag([1, np.exp(1j * math.pi / 4)]),
     Gate.TDG: np.diag([1, np.exp(-1j * math.pi / 4)]),
-    Gate.CX: _controlled(_X, 1),
+    Gate.CX: _CX,
     Gate.CY: _controlled(_Y, 1),
     Gate.CZ: _controlled(_Z, 1),
     Gate.CH: _controlled(_H, 1),
-    Gate.SWAP: _swap_matrix(),
+    Gate.SWAP: _compose([(_CX, (0, 1)), (_CX, (1, 0)), (_CX, (0, 1))])[1],
     Gate.CCX: _controlled(_X, 2),
-    Gate.CSWAP: _cswap_matrix(),
+    Gate.CSWAP: _compose([(_CX, (2, 1)), (_controlled(_X, 2), (0, 1, 2)), (_CX, (2, 1))])[1],
     Gate.RCCX: _rccx_matrix(),
     Gate.RC3X: _rc3x_matrix(),
     Gate.C3X: _controlled(_X, 3),

@@ -94,7 +94,8 @@ def _tokenize(text: str, line: int) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, check_width=lambda n_qubits: None):
+        self.check_width = check_width  # called on the qreg size as it is declared
         self.lines = text.split("\n")
         self.eof = _Token("EOF", "", len(self.lines), len(self.lines[-1]) + 1)
         self.at = 0  # the index of the next line to read
@@ -322,6 +323,7 @@ class _Parser:
         if name in (dict(self.pre_cregs) if self.circuit is None else (self.qreg[0],)):
             self._error(f"duplicate register name {name!r}", name_tok)
         if kw.text == "qreg":
+            self.check_width(size)
             self.qreg = (name, size)
             self.circuit = Circuit(size, self.pre_cregs)
         elif self.circuit is None:
@@ -543,12 +545,8 @@ def _emit_instruction(circuit: Circuit, ins: Instruction, decompose: bool,
     if g is Gate.MEASURE:
         reg, offset = circuit.clbit_location(ins.cbit)
         return f"measure q[{ins.qubits[0]}] -> {reg}[{offset}];"
-    if g is Gate.RESET:
-        return f"reset q[{ins.qubits[0]}];"
-    if g is Gate.BARRIER:
-        if ins.qubits == tuple(range(circuit.n_qubits)):
-            return "barrier q;"
-        return _emit_line("barrier", (), ins.qubits)
+    if g is Gate.BARRIER and ins.qubits == tuple(range(circuit.n_qubits)):
+        return "barrier q;"
     if g is Gate.C1 or g is Gate.C2:
         if not decompose:
             raise ValueError("fused payload gates need decompose=True to serialize")

@@ -24,6 +24,10 @@ under the same thread setting, give the same bytes in every family:
               loaded: word and ``repr`` of each coefficient, in
               ``sorted_terms()`` order, which pins the Pauli algebra where
               an eigensolver would round a change away
+``errors``    a fixed set of failing ``cli.main`` calls, one or more per
+              exit path: argv, exit code, standard output and error, with
+              input files named relative to a fresh directory; argparse
+              refusals count, with the code of their ``SystemExit``
 
 Not collected by pytest.  It reads ``perfbench/workloads.py`` and changes
 nothing there.
@@ -106,10 +110,14 @@ def add_plans(family: Family, label: str, circuit) -> None:
 
 
 def cli_call(argv: list[str]) -> list:
-    """cli.main's exit code, standard output and error."""
+    """cli.main's exit code, standard output and error; an argparse refusal
+    gives its SystemExit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(argv)
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
     return [rc, out.getvalue(), err.getvalue()]
 
 
@@ -210,14 +218,88 @@ def operator_files(operators: Family, workdir: Path) -> None:
             ["prepare", "--hamiltonian", str(path), "--steps", "2", "--trotter", "3"]))
 
 
+HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+
+ERROR_FILES = {
+    "v3.qasm": "OPENQASM 3.0;\nqreg q[1];\n",
+    "char.qasm": HEADER + "qreg q[1];\nh q[0]; $\n",
+    "unknown.qasm": HEADER + "qreg q[1];\nfoo q[0];\n",
+    "angle.qasm": HEADER + "qreg q[1];\nrz(1e999) q[0];\n",
+    "no_qreg.qasm": HEADER + "h q[0];\n",
+    "flat.qasm": HEADER + "qreg q[1];\ncreg c[1];\nh q[0];\nmeasure q[0] -> c[0];\n",
+    "fail.qasm": HEADER + "qreg q[2];\ncreg c[1];\nx q[1];\nmeasure q[1] -> c[0];\n"
+                          "reset q[1];\n",
+    "unpaired.qasm": HEADER + "qreg q[2];\ncreg c[1];\nh q[0];\nmeasure q[1] -> c[0];\n"
+                              "h q[1];\n",
+    "ok.qasm": HEADER + "qreg q[2];\ncreg c[1];\nh q[0];\nmeasure q[1] -> c[0];\n"
+                        "reset q[1];\n",
+    "payload.qasm": HEADER + "qreg q[2];\nh q[0];\ncx q[0], q[1];\nrz(0.3) q[1];\nh q[1];\n",
+    "pair.txt": "0.7 ZI\n0.3 IZ\n0.25 XX\n",
+    "zero.txt": "0.0 Z\n",
+    "wide.txt": "1.0 Z" + "I" * 14 + "\n",
+    "nan.txt": "0.7 ZI\nnan IZ\n",
+    "bad_matrix.txt": "ns 2\nt 0 0 nan\n",
+    "sched.json": '{"steps": [{"t": null}]}',
+    "deep.json": '{"steps": %s}' % ("[" * 1000 + "]" * 1000),
+}
+
+ERROR_CALLS = [
+    # argparse: a required option left out, a bad choice, a bad number
+    ["simulate"], ["fuse"], ["prepare"], ["spectrum"], ["filter-lcu"],
+    ["simulate", "--input", "ok.qasm", "--mode", "bogus"],
+    ["simulate", "--input", "ok.qasm", "--shots", "x"],
+    # configuration and parse errors: exit 2
+    *[["simulate", "--input", name] for name in
+      ("v3.qasm", "char.qasm", "unknown.qasm", "angle.qasm", "no_qreg.qasm", "flat.qasm",
+       "missing.qasm")],
+    ["simulate", "--input", "ok.qasm", "--shots", "0"],
+    ["simulate", "--input", "ok.qasm", "--seed", "-1"],
+    ["simulate", "--input", "ok.qasm", "--threads", "0"],
+    ["simulate", "--input", "ok.qasm", "--mode", "rejection", "--ancilla", "3"],
+    ["simulate", "--input", "ok.qasm", "--ancilla", "0"],
+    ["simulate", "--input", "unpaired.qasm", "--ancilla", "1"],
+    ["simulate", "--input", "ok.qasm", "--hamiltonian", "missing.txt"],
+    ["fuse", "--input", "char.qasm"],
+    ["fuse", "--input", "missing.qasm"],
+    ["fuse", "--input", "payload.qasm", "--output", "payload_out.qasm"],
+    ["spectrum", "--hamiltonian", "zero.txt"],
+    ["spectrum", "--hamiltonian", "missing.txt"],
+    ["spectrum", "--hamiltonian", "nan.txt"],
+    ["spectrum", "--hamiltonian", "bad_matrix.txt"],
+    ["prepare", "--hamiltonian", "pair.txt"],
+    ["prepare", "--hamiltonian", "pair.txt", "--schedule", "sched.json"],
+    ["prepare", "--hamiltonian", "pair.txt", "--schedule", "deep.json"],
+    ["prepare", "--hamiltonian", "pair.txt", "--steps", "1", "--gap", "0.5", "--e0", "nan"],
+    ["prepare", "--hamiltonian", "zero.txt", "--steps", "1"],
+    ["filter-lcu", "--hamiltonian", "zero.txt"],
+    # assertion failures: exit 3
+    ["simulate", "--input", "fail.qasm"],
+    ["simulate", "--input", "fail.qasm", "--no-fuse"],
+    # resource guards: exit 4
+    ["spectrum", "--hamiltonian", "wide.txt"],
+    ["filter-lcu", "--hamiltonian", "wide.txt"],
+    ["prepare", "--hamiltonian", "wide.txt", "--steps", "1"],
+]
+
+
+def failing_calls(errors: Family, workdir: Path) -> None:
+    workdir.mkdir()
+    for name, text in ERROR_FILES.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    with contextlib.chdir(workdir):
+        for argv in ERROR_CALLS:
+            errors.add(" ".join(argv), cli_call(argv))
+
+
 def main() -> None:
-    families = {name: Family() for name in ("reports", "qasm", "plans", "operators")}
+    families = {name: Family() for name in ("reports", "qasm", "plans", "operators", "errors")}
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         workload_reports(families["reports"], families["plans"], workdir)
         qasm_files(families["qasm"], families["plans"])
         spanning_block_plans(families["plans"])
         operator_files(families["operators"], workdir)
+        failing_calls(families["errors"], workdir / "errors")
     print("blas threads: " + ", ".join(f"{v}={os.environ.get(v, 'unset')}" for v in BLAS_VARS))
     for name, family in families.items():
         print(f"{name:10s} {family.sha.hexdigest()}")

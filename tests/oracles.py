@@ -29,7 +29,9 @@ indexed adds from each term's masks; pauli_product: the former
 PauliHamiltonian.__mul__, letter by letter through a table, kept as the
 bit-exact reference for the product from X/Z masks; and float_product: the
 former loop of the four float products, kept as the reference for
-math.prod.
+math.prod; swap_matrix and cswap_matrix: the former SWAP and CSWAP tables,
+written entry by entry, kept as the bit-exact reference for the products
+of their qelib1 bodies.
 """
 
 from __future__ import annotations
@@ -201,6 +203,21 @@ def float_product(factors) -> float:
     for f in factors:
         out *= f
     return out
+
+
+def swap_matrix() -> np.ndarray:
+    m = np.zeros((4, 4), dtype=complex)
+    for c in range(2):
+        for t in range(2):
+            m[t + 2 * c, c + 2 * t] = 1
+    return m
+
+
+def cswap_matrix() -> np.ndarray:
+    # control slot 0, swap slots 1 and 2
+    m = np.eye(8, dtype=complex)
+    m[[3, 5]] = m[[5, 3]]
+    return m
 
 
 def pauli_string_dense(letters: str) -> np.ndarray:

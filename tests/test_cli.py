@@ -11,7 +11,10 @@ import pytest
 
 from nucsim import cli as cli_module
 from nucsim import gate_count, parse_qasm
+from nucsim.circuit import Circuit
 from nucsim.cli import main
+from nucsim.errors import (DegenerateSpectrumError, FilterAssertionError, QasmError,
+                           ResourceLimitError)
 from nucsim.gates import Gate
 
 _SCHEMA = json.loads((Path(__file__).resolve().parent.parent /
@@ -104,6 +107,68 @@ def test_simulate_too_wide_register_exits_4(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--input", str(path))
     assert code == 4
     assert "physical memory" in err
+
+
+@pytest.mark.parametrize("mode", ["mma", "rejection"])
+@pytest.mark.parametrize("statements", ["creg c[1000000]; measure q -> c;", "reset q;"],
+                         ids=["measure", "reset"])
+def test_simulate_refuses_a_too_wide_register_at_its_qreg(tmp_path, capsys, monkeypatch,
+                                                          statements, mode):
+    # refused as the qreg is read, before a whole-register statement expands
+    appended = 0
+    append = Circuit.append
+
+    def counting(self, ins):
+        nonlocal appended
+        appended += 1
+        append(self, ins)
+
+    monkeypatch.setattr(Circuit, "append", counting)
+    path = tmp_path / "wide.qasm"
+    path.write_text(f"OPENQASM 2.0; qreg q[1000000]; {statements}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--input", str(path), "--mode", mode)
+    assert (code, out, appended) == (4, "", 0)
+    assert "physical memory" in err
+
+
+_FAILING_FILTER = (
+    "OPENQASM 2.0;\n"
+    "include \"qelib1.inc\";\n"
+    "qreg q[2];\n"
+    "creg c[1];\n"
+    "x q[1];\n"
+    "measure q[1] -> c[0];\n"
+    "reset q[1];\n")
+
+
+@pytest.mark.parametrize("command, option, text, raised, code", [
+    ("simulate", "--input", "OPENQASM 3.0;\nqreg q[1];\n", QasmError, 2),
+    ("prepare", "--hamiltonian", "1.0 Z\n", ValueError, 2),  # neither --steps nor --schedule
+    ("simulate", "--input", None, OSError, 2),
+    ("spectrum", "--hamiltonian", "0.0 Z\n", DegenerateSpectrumError, 2),
+    ("spectrum", "--hamiltonian", "1.0 Z" + "I" * 14 + "\n", ResourceLimitError, 4),
+    ("simulate", "--input", _FAILING_FILTER, FilterAssertionError, 3),
+], ids=["QasmError", "ValueError", "OSError", "DegenerateSpectrumError",
+        "ResourceLimitError", "FilterAssertionError"])
+def test_each_failure_prints_one_error_line(tmp_path, capsys, monkeypatch, command, option,
+                                            text, raised, code):
+    seen = []
+
+    def recording(config, command_fn=cli_module._COMMANDS[command]):
+        try:
+            return command_fn(config)
+        except Exception as exc:
+            seen.append(exc)
+            raise
+
+    monkeypatch.setitem(cli_module._COMMANDS, command, recording)
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    got, out, err = run_cli(capsys, command, option, str(path))
+    assert len(seen) == 1 and isinstance(seen[0], raised)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,11 @@ def test_swap_and_cswap_permutations():
     perm = np.eye(8)
     perm[[3, 5]] = perm[[5, 3]]
     assert np.allclose(cswap, perm, atol=1e-15)
+    # the products of their qelib1 bodies equal the former tables as uint64
+    # words, so that the sign of a zero counts
+    for got, table in ((swap, oracles.swap_matrix()), (cswap, oracles.cswap_matrix())):
+        assert got.shape == table.shape
+        assert np.array_equal(got.view(np.uint64), table.view(np.uint64))
 
 
 def test_two_qubit_rotations():

@@ -162,16 +162,21 @@ def test_include_restricted_to_qelib1():
 
 
 def test_emitted_header_and_layout():
-    c = Circuit(2, [("c", 1)])
+    c = Circuit(3, [("c", 1)])
     c.h(0)
     c.measure(0, 0)
+    c.reset(1)
+    c.barrier(0, 1)
     lines = emit_qasm(c).strip().split("\n")
     assert lines[0] == "OPENQASM 2.0;"
     assert lines[1] == 'include "qelib1.inc";'
-    assert lines[2] == "qreg q[2];"
+    assert lines[2] == "qreg q[3];"
     assert lines[3] == "creg c[1];"
     assert lines[4] == "h q[0];"
     assert lines[5] == "measure q[0] -> c[0];"
+    assert lines[6] == "reset q[1];"
+    assert lines[7] == "barrier q[0], q[1];"
+    assert len(lines) == 8
 
 
 def test_full_width_barrier_prints_register_form():
