@@ -27,6 +27,8 @@ import numpy as np
 from .gates import Gate, _shared_matrix
 
 _ATOL_UNITARY = 1e-10  # payload matrices must be unitary to this tolerance
+# a tuple, not a set: `in` compares by identity, a set hashes by the slow Enum.__hash__
+_PAYLOADS = (Gate.C1, Gate.C2)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -68,7 +70,9 @@ class Circuit:
         if n_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
         self.n_qubits = n_qubits
-        self.cregs: list[tuple[str, int]] = list(cregs or [])
+        self.cregs: list[tuple[str, int]] = []
+        for name, size in cregs or ():
+            self.add_creg(name, size)
         self.runs: list[tuple[list[Instruction], int]] = []
 
     @property
@@ -153,15 +157,25 @@ class Circuit:
             raise ValueError(f"duplicate qubit in {qubits}")
 
     def append(self, instr: Instruction) -> None:
+        """Append one instruction after checking every field it carries; a
+        C1/C2 payload is stored as its checked read-only copy."""
+        gate = instr.gate
+        payload = gate in _PAYLOADS
+        if instr.matrix is not None and not payload:
+            raise ValueError(f"{gate.value} carries no matrix")
+        if instr.cbit is not None and gate is not Gate.MEASURE:
+            raise ValueError(f"{gate.value} takes no classical bit")
         self._check_qubits(instr.qubits)
-        if instr.gate.is_unitary:
-            if len(instr.qubits) != instr.gate.n_qubits:
-                raise ValueError(f"{instr.gate.value} takes {instr.gate.n_qubits} qubits")
-            if len(instr.params) != instr.gate.n_params:
-                raise ValueError(f"{instr.gate.value} takes {instr.gate.n_params} parameters")
-            if not all(map(math.isfinite, instr.params)):
-                raise ValueError(f"{instr.gate.value} has a non-finite parameter")
-        if instr.gate is Gate.MEASURE:
+        if len(instr.qubits) != gate.n_qubits and gate is not Gate.BARRIER:
+            raise ValueError(f"{gate.value} takes {gate.n_qubits} qubits")
+        if len(instr.params) != gate.n_params:
+            raise ValueError(f"{gate.value} takes {gate.n_params} parameters")
+        if not all(map(math.isfinite, instr.params)):
+            raise ValueError(f"{gate.value} has a non-finite parameter")
+        if payload:
+            matrix = _checked_payload(instr.matrix, 1 << gate.n_qubits)
+            instr = Instruction(gate, instr.qubits, (), matrix)
+        elif gate is Gate.MEASURE:
             if instr.cbit is None or not 0 <= instr.cbit < self.n_clbits:
                 raise ValueError(f"measure target bit {instr.cbit} out of range")
         self._open_run().append(instr)
@@ -170,10 +184,10 @@ class Circuit:
         self.append(Instruction(gate, qubits, tuple(float(p) for p in params)))
 
     def fused_1q(self, matrix: np.ndarray, q: int) -> None:
-        self.append(Instruction(Gate.C1, (q,), (), _checked_payload(matrix, 2)))
+        self.append(Instruction(Gate.C1, (q,), (), matrix))
 
     def fused_2q(self, matrix: np.ndarray, a: int, b: int) -> None:
-        self.append(Instruction(Gate.C2, (a, b), (), _checked_payload(matrix, 4)))
+        self.append(Instruction(Gate.C2, (a, b), (), matrix))
 
     def measure(self, q: int, cbit: int) -> None:
         self.append(Instruction(Gate.MEASURE, (q,), cbit=cbit))

@@ -4,7 +4,7 @@ Subcommands:
 
 - ``simulate``    QASM in, fusion unless --no-fuse, run, JSON report out
 - ``fuse``        QASM in, fusion statistics out, optional fused QASM file
-- ``prepare``     Hamiltonian in, filter circuit out as QASM plus gate counts
+- ``prepare``     Hamiltonian in, filter circuit (ancilla last) out as QASM plus gate counts
 - ``spectrum``    Hamiltonian in, eigenvalues / ground energy / gap out
 - ``filter-lcu``  Hamiltonian in, truncated-expansion filter report out
 
@@ -153,24 +153,18 @@ def cmd_prepare(config: RunConfig) -> int:
     else:
         e0 = (gs if gs is not None else ground_state(h)).energy
     shifted = shift_rescale(h, e0)
-    ancilla = config.ancilla if config.ancilla is not None else h.n_qubits
     trial = TrialState.basis("0" * h.n_qubits)
-    circuit = build_filter_circuit(shifted, schedule, config.trotter, trial, ancilla)
+    circuit = build_filter_circuit(shifted, schedule, config.trotter, trial, h.n_qubits)
     info = {
         "gates": gate_count(circuit),
         "two_qubit_gates": circuit.counts_by_width().get(2, 0),
         "n_qubits": circuit.n_qubits,
         "filter_steps": schedule.n_steps,
-        "ancilla_index": ancilla,
+        "ancilla_index": h.n_qubits,
         "ancilla_index_listing_convention": 0,
     }
-    text = emit_qasm(circuit)
-    if config.output is not None:
-        _write_output(text, config.output)
-        print(json.dumps(info, indent=2))
-    else:
-        sys.stdout.write(text)
-        print(json.dumps(info, indent=2), file=sys.stderr)
+    _write_output(emit_qasm(circuit), config.output)
+    print(json.dumps(info, indent=2), file=sys.stderr if config.output is None else sys.stdout)
     return 0
 
 
@@ -251,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spectral gap for the default schedule (else computed)")
     p.add_argument("--steps", type=int, default=None, help="default-schedule step count")
     p.add_argument("--trotter", type=int, default=None, help="slices per filter step")
-    p.add_argument("--ancilla", type=int, default=None)
     p.add_argument("--e0", type=float, default=None,
                    help="ground energy to shift by (else computed)")
     common(p)

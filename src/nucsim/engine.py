@@ -51,8 +51,9 @@ Two execution modes:
                reset depends only on the outcomes drawn before it, so one
                run memoizes the outcome tree by prefix (P(0) per visited
                prefix, the sampling CDF of the latest accepted one) and
-               computes each new prefix once, with one cursor state.  It
-               costs about one mma pass plus the per-shot draws.
+               computes each new prefix once, with one cursor state, on
+               which a Hamiltonian is also read in place.  It costs about
+               one mma pass plus the per-shot draws.
 
 Randomness comes from numpy's Philox bit generator (a documented 64-bit
 counter-based generator with splittable seeding), so identical seeds give
@@ -777,7 +778,7 @@ def _execute_mma(state: StateVector, plan: Plan) -> list[float]:
 
 
 def _execute_rejection(state: StateVector, plan: Plan, shots: int,
-                       rng: np.random.Generator, keep: bool):
+                       rng: np.random.Generator, hamiltonian: PauliHamiltonian | None):
     """Run shots of a compiled plan, drawing each mid-circuit outcome.
 
     A shot's state at a measure or reset point depends only on the outcomes
@@ -789,8 +790,8 @@ def _execute_rejection(state: StateVector, plan: Plan, shots: int,
     segment on from its parent when the cursor sits there, otherwise by a
     replay from |0...0>, so no shot costs more than one plan pass.
 
-    Returns (accepted, samples, step_rejections, kept), where kept is a copy
-    of the state at the first accepted shot when keep is set, else None.
+    Returns (accepted, samples, step_rejections, energy), energy being the
+    hamiltonian's on the first accepted shot's state, read in place, or None.
     """
     segments, points = plan.segments, plan.points
     p0s: dict[tuple[int, ...], float] = {}
@@ -819,7 +820,7 @@ def _execute_rejection(state: StateVector, plan: Plan, shots: int,
     step_rejections = [0] * plan.n_steps
     drawn = np.empty(shots, dtype=np.intp)
     accepted = 0
-    kept: np.ndarray | None = None
+    energy: float | None = None
     for _ in range(shots):
         prefix: tuple[int, ...] = ()
         for q, step in points:
@@ -840,11 +841,12 @@ def _execute_rejection(state: StateVector, plan: Plan, shots: int,
                 leaf = None  # drop the old table before building the new one
                 seek(prefix)
                 leaf = (prefix, _cdf(state))
-                if keep and kept is None:
-                    kept = state.amps.copy()
+                if hamiltonian is not None and energy is None:
+                    # the CDF is its own array, so the scratch buffer is idle
+                    energy = expectation_pauli(state, hamiltonian)
             drawn[accepted] = _draw(leaf[1], 1, rng)[0]
             accepted += 1
-    return accepted, _tally(drawn[:accepted], state.n_qubits), step_rejections, kept
+    return accepted, _tally(drawn[:accepted], state.n_qubits), step_rejections, energy
 
 
 def run(circuit: Circuit, mode: str, shots: int, seed: int, ancilla: int | None,
@@ -881,11 +883,8 @@ def run(circuit: Circuit, mode: str, shots: int, seed: int, ancilla: int | None,
         samples = sample(state, shots, rng)
         fields = dict(assert_probs=assert_probs, overall_success=success_product(assert_probs))
     else:
-        accepted, samples, step_rejections, kept = _execute_rejection(
-            state, plan, shots, rng, hamiltonian is not None)
-        energy = None
-        if kept is not None:
-            energy = expectation_pauli(StateVector.from_amplitudes(kept), hamiltonian)
+        accepted, samples, step_rejections, energy = _execute_rejection(
+            state, plan, shots, rng, hamiltonian)
         fields = dict(assert_probs=[], overall_success=accepted / shots, accepted=accepted,
                       rejected=shots - accepted, step_rejections=step_rejections)
     return RunReport(mode=mode, n_qubits=circuit.n_qubits, shots=shots, seed=seed,

@@ -139,6 +139,9 @@ def _controlled(u: np.ndarray, n_controls: int) -> np.ndarray:
 
 
 _CX = _controlled(_X, 1)
+_U2_0PI = _u3(math.pi / 2, 0.0, math.pi)  # u2(0, pi), the H of the qelib1 bodies
+_T = _u1(math.pi / 4)
+_TDG = _u1(-math.pi / 4)
 
 
 def _slot_index(slots: tuple[int, ...], n_slots: int) -> np.ndarray:
@@ -223,28 +226,6 @@ def _rzz(theta: float) -> np.ndarray:
     return np.diag([1, e, e, 1]).astype(complex)
 
 
-def _rccx_matrix() -> np.ndarray:
-    # literal qelib1 body on slots (a, b, c) = (0, 1, 2)
-    u2_0pi = _u3(math.pi / 2, 0.0, math.pi)
-    t, tdg = _u1(math.pi / 4), _u1(-math.pi / 4)
-    return _compose([
-        (u2_0pi, (2,)), (t, (2,)), (_CX, (1, 2)), (tdg, (2,)),
-        (_CX, (0, 2)), (t, (2,)), (_CX, (1, 2)), (tdg, (2,)), (u2_0pi, (2,)),
-    ])[1]
-
-
-def _rc3x_matrix() -> np.ndarray:
-    # literal qelib1 body on slots (a, b, c, d) = (0, 1, 2, 3)
-    u2_0pi = _u3(math.pi / 2, 0.0, math.pi)
-    t, tdg = _u1(math.pi / 4), _u1(-math.pi / 4)
-    return _compose([
-        (u2_0pi, (3,)), (t, (3,)), (_CX, (2, 3)), (tdg, (3,)), (u2_0pi, (3,)),
-        (_CX, (0, 3)), (t, (3,)), (_CX, (1, 3)), (tdg, (3,)),
-        (_CX, (0, 3)), (t, (3,)), (_CX, (1, 3)), (tdg, (3,)),
-        (u2_0pi, (3,)), (t, (3,)), (_CX, (2, 3)), (tdg, (3,)), (u2_0pi, (3,)),
-    ])[1]
-
-
 _FIXED = {
     Gate.ID: _I2,
     Gate.X: _X,
@@ -253,8 +234,8 @@ _FIXED = {
     Gate.H: _H,
     Gate.S: np.diag([1, 1j]).astype(complex),
     Gate.SDG: np.diag([1, -1j]).astype(complex),
-    Gate.T: np.diag([1, np.exp(1j * math.pi / 4)]),
-    Gate.TDG: np.diag([1, np.exp(-1j * math.pi / 4)]),
+    Gate.T: _T,
+    Gate.TDG: _TDG,
     Gate.CX: _CX,
     Gate.CY: _controlled(_Y, 1),
     Gate.CZ: _controlled(_Z, 1),
@@ -262,8 +243,16 @@ _FIXED = {
     Gate.SWAP: _compose([(_CX, (0, 1)), (_CX, (1, 0)), (_CX, (0, 1))])[1],
     Gate.CCX: _controlled(_X, 2),
     Gate.CSWAP: _compose([(_CX, (2, 1)), (_controlled(_X, 2), (0, 1, 2)), (_CX, (2, 1))])[1],
-    Gate.RCCX: _rccx_matrix(),
-    Gate.RC3X: _rc3x_matrix(),
+    Gate.RCCX: _compose([
+        (_U2_0PI, (2,)), (_T, (2,)), (_CX, (1, 2)), (_TDG, (2,)),
+        (_CX, (0, 2)), (_T, (2,)), (_CX, (1, 2)), (_TDG, (2,)), (_U2_0PI, (2,)),
+    ])[1],
+    Gate.RC3X: _compose([
+        (_U2_0PI, (3,)), (_T, (3,)), (_CX, (2, 3)), (_TDG, (3,)), (_U2_0PI, (3,)),
+        (_CX, (0, 3)), (_T, (3,)), (_CX, (1, 3)), (_TDG, (3,)),
+        (_CX, (0, 3)), (_T, (3,)), (_CX, (1, 3)), (_TDG, (3,)),
+        (_U2_0PI, (3,)), (_T, (3,)), (_CX, (2, 3)), (_TDG, (3,)), (_U2_0PI, (3,)),
+    ])[1],
     Gate.C3X: _controlled(_X, 3),
     Gate.C3SQRTX: _controlled(_SQRT_X, 3),
     Gate.C4X: _controlled(_X, 4),

@@ -233,8 +233,9 @@ class _Parser:
         objects.  Where a run of such lines repeats, its later copies are
         found by comparing texts and stand as one repeated run."""
         lines = self.lines
-        seen: dict[str, list[Instruction]] = {}
-        last: dict[str, deque[int]] = {}  # where each line of `seen` was last read, in order
+        # each line read as one statement -> (its instructions, where it was
+        # last read, in order)
+        seen: dict[str, tuple[list[Instruction], deque[int]]] = {}
         known: dict[int, int] = {}  # period p -> a line that differs from the one p before it
         found: list[tuple[int, int]] = []  # (first, end) lines of each run so far, in order
         while self.pos < len(self.tokens):  # statements on the header's last line
@@ -245,31 +246,31 @@ class _Parser:
             text = lines[at]
             hit = seen.get(text)
             if hit is not None:
-                earlier = last[text]
+                appended, earlier = hit
                 begin, copies = _repeat(lines, at, earlier, fence, known)
                 if copies and _cuts_longer(found, begin, (copies + 1) * (at - begin)):
                     copies = 0  # cut, a run of two copies would go flat
                 if not copies:
-                    if hit:  # a blank line may come before the qreg
-                        self.circuit.append_run(hit, 1)
+                    if appended:  # a blank line may come before the qreg
+                        self.circuit.append_run(appended, 1)
                     earlier.append(at)
                     self.at = at + 1
                     continue
                 # lines[begin:at] and `copies` more of them, read as one run
                 period = at - begin
-                n = sum(len(seen[line]) for line in lines[begin:at])
+                n = sum(len(seen[line][0]) for line in lines[begin:at])
                 if n:
                     self.circuit.append_run(self.circuit.pop_last(n), copies + 1)
                 self.at = at + copies * period
                 found.append((begin, self.at))
                 for x in range(self.at - period, self.at):  # the last copy
-                    last[lines[x]].append(x)
+                    seen[lines[x]][1].append(x)
                 continue
             self.at = at + 1
             tokens = self.tokens = _tokenize(text, at + 1)
             self.pos = 0
             if not tokens:
-                seen[text], last[text] = [], deque([at], _RECALLED)
+                seen[text] = [], deque([at], _RECALLED)
                 continue
             if tokens[0].text not in ("qreg", "creg") and self.circuit is not None:
                 flat = self.circuit._open_run()
@@ -277,7 +278,7 @@ class _Parser:
                 self._statement()
                 # the statement read no further line and filled this one
                 if self.tokens is tokens and self.pos == len(tokens):
-                    seen[text], last[text] = flat[before:], deque([at], _RECALLED)
+                    seen[text] = flat[before:], deque([at], _RECALLED)
                     continue
             while self.pos < len(self.tokens):  # statements after another on a line
                 self._statement()

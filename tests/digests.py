@@ -286,9 +286,13 @@ def failing_calls(errors: Family, workdir: Path) -> None:
     workdir.mkdir()
     for name, text in ERROR_FILES.items():
         (workdir / name).write_text(text, encoding="utf-8")
-    with contextlib.chdir(workdir):
+    home = os.getcwd()
+    os.chdir(workdir)  # not contextlib.chdir, which needs Python 3.11
+    try:
         for argv in ERROR_CALLS:
             errors.add(" ".join(argv), cli_call(argv))
+    finally:
+        os.chdir(home)
 
 
 def main() -> None:

@@ -90,6 +90,12 @@ def test_add_creg_rules():
         c.add_creg("a", 1)
     with pytest.raises(ValueError):
         c.add_creg("b", 0)
+    # the constructor declares its registers by the same rules: a duplicate
+    # name would emit text that does not parse back
+    with pytest.raises(ValueError, match="already declared"):
+        Circuit(2, [("c", 1), ("c", 1)])
+    with pytest.raises(ValueError, match="size must be positive"):
+        Circuit(2, [("c", 0)])
 
 
 def test_fused_payloads_must_be_unitary():
@@ -105,6 +111,52 @@ def test_fused_payloads_must_be_unitary():
             c.fused_1q(np.full((2, 2), bad), 0)
         with pytest.raises(ValueError, match="non-finite"):
             c.fused_2q(np.full((4, 4), bad), 0, 1)
+
+
+def test_append_refuses_a_matrix_on_a_named_gate():
+    # it would run as the matrix but emit and parse back as the name
+    c = Circuit(1, [("c", 1)])
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    with pytest.raises(ValueError, match="carries no matrix"):
+        c.append(Instruction(Gate.H, (0,), (), x))
+    with pytest.raises(ValueError, match="carries no matrix"):
+        c.append(Instruction(Gate.MEASURE, (0,), (), x, 0))
+    assert c.instruction_count() == 0
+
+
+def test_append_checks_a_payload_as_fused_gates_do():
+    c = Circuit(2)
+    with pytest.raises(ValueError, match="not unitary"):
+        c.append(Instruction(Gate.C2, (0, 1), (), np.zeros((4, 4), dtype=complex)))
+    with pytest.raises(ValueError, match="payload must be 2x2"):
+        c.append(Instruction(Gate.C1, (0,)))
+    m = np.eye(2, dtype=complex)
+    c.append(Instruction(Gate.C1, (1,), (), m))
+    m[0, 0] = 5.0
+    (ins,) = c.instructions
+    assert np.array_equal(ins.matrix, np.eye(2)) and not ins.matrix.flags.writeable
+
+
+def test_append_allows_a_classical_bit_only_on_a_measure():
+    c = Circuit(1, [("c", 1)])
+    for gate in (Gate.H, Gate.RESET):
+        with pytest.raises(ValueError, match="takes no classical bit"):
+            c.append(Instruction(gate, (0,), cbit=0))
+    with pytest.raises(ValueError, match="takes no classical bit"):
+        c.append(Instruction(Gate.BARRIER, (0,), cbit=0))
+    assert c.instruction_count() == 0
+
+
+def test_append_checks_marker_parameters_and_arity():
+    c = Circuit(2, [("c", 1)])
+    with pytest.raises(ValueError, match="takes 0 parameters"):
+        c.append(Instruction(Gate.MEASURE, (0,), (0.5,), cbit=0))
+    with pytest.raises(ValueError, match="takes 0 parameters"):
+        c.append(Instruction(Gate.BARRIER, (0, 1), (0.5,)))
+    with pytest.raises(ValueError, match="takes 1 qubits"):
+        c.append(Instruction(Gate.RESET, (0, 1)))
+    c.barrier(1)  # a barrier takes any set
+    assert c.instruction_count() == 1
 
 
 def test_counts_exclude_markers():

@@ -390,6 +390,15 @@ def test_prepare_info_layout(workdir, tmp_path, capsys):
     assert 0 < info["two_qubit_gates"] < info["gates"]
 
 
+def test_prepare_places_the_ancilla_last_with_no_option_for_it(workdir, capsys):
+    # the filter circuit takes no other ancilla, so even its own index is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["prepare", "--hamiltonian", str(workdir / "pair.txt"), "--steps", "1",
+              "--ancilla", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --ancilla 2" in capsys.readouterr().err
+
+
 def test_prepare_minimal_single_step(workdir, capsys):
     code, out, err = run_cli(capsys, "prepare", "--hamiltonian",
                              str(workdir / "zpos.txt"), "--steps", "1")

@@ -1219,20 +1219,24 @@ def test_rejection_memo_holds_no_states_and_one_cdf(monkeypatch):
     cdfs = []
     real = engine._cdf
     monkeypatch.setattr(engine, "_cdf", lambda state: cdfs.append(None) or real(state))
-    run(c, "rejection", 2, 0, None)  # warm up: cached block layouts
-    cdfs.clear()
-    tracemalloc.start()
-    try:
-        report = run(c, "rejection", 128, 3, None)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.accepted == 128 and len(cdfs) > 32
-    # state and scratch (16 B per amplitude each) and 16 B for the CDF being
-    # built (one 8 B squared-modulus temporary and the table), plus 4 B of
-    # slack: keeping the previous CDF while building the next, or any
-    # per-prefix state, adds at least 8 B per amplitude
-    assert peak < (2 * 16 + 16 + 4) * amps
+    # with a Hamiltonian, the energy is read on the cursor state in place
+    for h in (None, PauliHamiltonian(n, {"Z" * n: 0.5, "XY" + "I" * (n - 2): 0.25})):
+        run(c, "rejection", 2, 0, None, hamiltonian=h)  # warm up: cached layouts
+        cdfs.clear()
+        tracemalloc.start()
+        try:
+            report = run(c, "rejection", 128, 3, None, hamiltonian=h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.accepted == 128 and len(cdfs) > 32
+        assert (report.energy is None) == (h is None)
+        # state and scratch (16 B per amplitude each) and 16 B for the CDF
+        # being built (one 8 B squared-modulus temporary and the table), plus
+        # 4 B of slack: keeping the previous CDF while building the next, any
+        # per-prefix state or a copy of the state adds at least 8 B per
+        # amplitude
+        assert peak < (2 * 16 + 16 + 4) * amps
 
 
 def test_run_rejects_bad_arguments():
