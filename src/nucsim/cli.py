@@ -42,7 +42,7 @@ from .qasm import _Parser, emit_qasm, parse_qasm
 _EXIT_CODES = {3: (FilterAssertionError, ProjectionError),
                4: (ResourceLimitError, MemoryError),
                2: (QasmError, MmaStructureError, DegenerateSpectrumError,
-                   SpectrumGuardError, ValueError, OSError, KeyError)}
+                   SpectrumGuardError, ValueError, OSError)}
 _ERRORS = sum(_EXIT_CODES.values(), ())
 
 
@@ -205,10 +205,6 @@ _COMMANDS = {
 }
 
 
-def _default_threads() -> int:
-    return int(os.environ.get("NUCSIM_THREADS", "1"))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nucsim",
@@ -266,7 +262,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "threads", None) is None:
-            args.threads = _default_threads()
+            args.threads = int(os.environ.get("NUCSIM_THREADS", "1"))
         config = RunConfig.from_args(args)
         return _COMMANDS[config.command](config)
     except _ERRORS as exc:

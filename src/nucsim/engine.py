@@ -499,6 +499,14 @@ def _pair_axes(n: int, flip: int, union: int):
     return [*sizes, 2], low, high, axes, out, [sizes[i] for i in out]
 
 
+def _check_operator(h: PauliHamiltonian, n_qubits: int) -> None:
+    """Refuse an operator that expectation_pauli cannot measure on n qubits."""
+    if h.n_qubits > n_qubits:
+        raise ValueError("operator acts on more qubits than the state")
+    if not h.is_hermitian():
+        raise ValueError("operator is not Hermitian")
+
+
 def expectation_pauli(state: StateVector, h: PauliHamiltonian) -> float:
     """<psi|H|psi>, reading the amplitudes in place.
 
@@ -515,10 +523,7 @@ def expectation_pauli(state: StateVector, h: PauliHamiltonian) -> float:
     is an einsum, in one fixed order on one thread; nothing of the state's
     size is allocated (a term's signed table takes 8 * 2^popcount(z) bytes).
     """
-    if h.n_qubits > state.n_qubits:
-        raise ValueError("operator acts on more qubits than the state")
-    if not h.is_hermitian():
-        raise ValueError("operator is not Hermitian")
+    _check_operator(h, state.n_qubits)
     n, amps = state.n_qubits, state.amps
     groups: dict[int, list[tuple[int, int, complex]]] = {}
     for letters, coeff in h.sorted_terms():
@@ -858,7 +863,8 @@ def run(circuit: Circuit, mode: str, shots: int, seed: int, ancilla: int | None,
     mma mode; rejection mode needs none and only checks the range of one
     given.  ``hamiltonian``, if given, is measured on the pre-sampling state
     and reported as ``energy``; in rejection mode that is the state of the
-    first accepted shot.
+    first accepted shot.  An operator it cannot measure is refused before
+    anything runs, also when no shot would be accepted.
 
     Rejection mode memoizes the outcome tree for this call only (see
     ``_execute_rejection``): each distinct outcome prefix is computed once,
@@ -873,6 +879,8 @@ def run(circuit: Circuit, mode: str, shots: int, seed: int, ancilla: int | None,
     if (ancilla is None and mode == "mma"
             or ancilla is not None and not 0 <= ancilla < circuit.n_qubits):
         raise MmaStructureError(f"ancilla index {ancilla} out of range")
+    if hamiltonian is not None:
+        _check_operator(hamiltonian, circuit.n_qubits)
     t0 = time.perf_counter()
     state = StateVector(circuit.n_qubits)
     plan = _compile(circuit, mode, ancilla)

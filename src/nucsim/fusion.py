@@ -27,16 +27,18 @@ may still rewrite: the pending runs of ``_collapse_runs``, or the last
 instruction on each qubit of ``_absorb_sweep``.  The output of the copies
 since the earlier occurrence of that state then stands for the rest of the
 run, so the output is head + body x times + tail, with the instructions
-and order of a flat walk.  That state can repeat because one memo per pass
-call, dropped when the call returns, keys on the identity of the objects
-the copies share: the matrix of each instruction, each product ``a @ b``
-(operands and their order as written, never re-associated), each lift of a
-2x2 matrix onto one slot of a pair (``gates._lift``, the index placement
-every gate product and operand reorder goes through), each SWAP conjugate
-and each output C1/C2 instruction.  Its outputs are therefore shared, and
-the next pass meets them as repeats too; the same memo makes the repeated
-lines of a parsed, flat circuit cheap.  The payload matrices the passes
-compute are shared and read-only.
+and order of a flat walk; both passes rebuild it in ``_rebuild``.  That
+state can repeat because one memo per pass call, dropped when the call
+returns, keys on the identity of the objects the copies share: the matrix
+of each instruction, each product ``a @ b`` (operands and their order as
+written, never re-associated), each lift of a 2x2 matrix onto one slot of
+a pair (``gates._lift``, the index placement every gate product and
+operand reorder goes through) and each output C1/C2 instruction.  Its
+outputs are therefore shared, and the next pass meets them as repeats too;
+the same memo makes the repeated lines of a parsed, flat circuit cheap.
+``normalize_2q_order`` carries no state across an instruction and rewrites
+each run body once, so it conjugates each reversed gate of a body afresh.
+The payload matrices the passes compute are shared and read-only.
 """
 
 from __future__ import annotations
@@ -101,6 +103,15 @@ def _walk(circuit: Circuit, cells: list, walk, carried) -> list:
     return marks
 
 
+def _rebuild(circuit: Circuit, cells: list, marks: list) -> Circuit:
+    """The circuit that the walked `cells` and their `marks` stand for, on
+    the registers of `circuit`; a cell emptied to None is dropped."""
+    out = circuit.copy_empty()
+    for piece, count in run_pieces(cells, marks):
+        out.append_run([i for i in piece if i is not None], count)
+    return out
+
+
 class _Memo:
     """The matrices and instructions one pass call computes, each once.
 
@@ -110,13 +121,12 @@ class _Memo:
     are shared between instructions and therefore read-only.
     """
 
-    __slots__ = ("_matrix", "_product", "_lift", "_swapped", "_out")
+    __slots__ = ("_matrix", "_product", "_lift", "_out")
 
     def __init__(self):
         self._matrix: dict[Instruction, np.ndarray] = {}
         self._product: dict[tuple[int, int], tuple] = {}   # -> (a @ b, a, b)
         self._lift: dict[tuple[int, int], tuple] = {}      # -> (lift, v)
-        self._swapped: dict[Instruction, Instruction] = {}
         self._out: dict[tuple, Instruction] = {}           # payload held by the value
 
     def matrix(self, ins: Instruction) -> np.ndarray:
@@ -143,15 +153,6 @@ class _Memo:
             m.setflags(write=False)
             hit = self._lift[key] = (m, v)
         return hit[0]
-
-    def swapped(self, ins: Instruction) -> Instruction:
-        """The C2 on ascending operands of a two-qubit gate on (b, a)."""
-        out = self._swapped.get(ins)
-        if out is None:
-            m = swap_conjugate(self.matrix(ins))
-            m.setflags(write=False)
-            out = self._swapped[ins] = self.payload((ins.qubits[1], ins.qubits[0]), m)
-        return out
 
     def payload(self, qubits: tuple[int, ...], matrix: np.ndarray) -> Instruction:
         """The C1 (one qubit) or C2 (two) instruction carrying `matrix`."""
@@ -201,10 +202,7 @@ def _collapse_runs(circuit: Circuit, arity: int) -> Circuit:
     marks = _walk(circuit, dest, walk, carried)
     for run in pending.values():  # a pair's run is listed twice; the memo gives one payload
         dest[run[1]] = memo.payload(run[0], run[2])
-    out = circuit.copy_empty()
-    for piece, count in run_pieces(dest, marks):
-        out.append_run(piece, count)
-    return out
+    return _rebuild(circuit, dest, marks)
 
 
 def merge_1q(circuit: Circuit) -> Circuit:
@@ -278,11 +276,7 @@ def _absorb_sweep(circuit: Circuit, memo: _Memo) -> tuple[Circuit, bool]:
         return (tuple((q, chained.get(q)) for q in qubits),
                 [(last[q], dest[last[q]]) for q in qubits])
 
-    marks = _walk(circuit, dest, walk, carried)
-    out = circuit.copy_empty()
-    for piece, count in run_pieces(dest, marks):
-        out.append_run([i for i in piece if i is not None], count)
-    return out, again
+    return _rebuild(circuit, dest, _walk(circuit, dest, walk, carried)), again
 
 
 def normalize_2q_order(circuit: Circuit) -> Circuit:
@@ -292,9 +286,15 @@ def normalize_2q_order(circuit: Circuit) -> Circuit:
     original conjugated by SWAP (index permutation 0,2,1,3).
     """
     memo = _Memo()
+
+    def swapped(ins: Instruction) -> Instruction:
+        m = swap_conjugate(memo.matrix(ins))
+        m.setflags(write=False)
+        return memo.payload((ins.qubits[1], ins.qubits[0]), m)
+
     out = circuit.copy_empty()
     for body, count in circuit.runs:  # no state crosses an instruction
-        out.append_run([memo.swapped(ins) if ins.is_gate and len(ins.qubits) == 2
+        out.append_run([swapped(ins) if ins.is_gate and len(ins.qubits) == 2
                         and ins.qubits[0] > ins.qubits[1] else ins for ins in body], count)
     return out
 

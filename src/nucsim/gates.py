@@ -200,15 +200,12 @@ def _compose(ops: list[tuple[np.ndarray, tuple[int, ...]]]) -> tuple[tuple[int, 
 
 def sort_operands(u: np.ndarray, qubits: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
     """The same gate with its qubits in ascending order: the matrix is
-    reindexed so that its slot j acts on the j-th smallest qubit."""
+    reindexed so that its slot j acts on the j-th smallest qubit, placed by
+    _lift as every gate product is."""
     if all(a < b for a, b in zip(qubits, qubits[1:])):
         return u, tuple(qubits)
-    ordered = sorted(qubits)
-    # slot j of the result is slot qubits.index(ordered[j]) of u: a gather,
-    # which reads a read-only u in place where ndarray.put would copy it
-    n = len(qubits)
-    index = _lift_index(tuple(qubits.index(q) for q in ordered), n)
-    return np.asarray(u, dtype=complex).take(index).reshape(1 << n, 1 << n), tuple(ordered)
+    ordered, matrix = _compose([(u, qubits)])
+    return matrix, ordered
 
 
 def swap_conjugate(u: np.ndarray) -> np.ndarray:

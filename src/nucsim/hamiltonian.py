@@ -275,6 +275,16 @@ class GroundState:
     spectrum: np.ndarray
 
 
+def _eigh(h: PauliHamiltonian, cap: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of h's dense form, for a Hermitian h of at most `cap` qubits:
+    eigh reads one triangle only, so it would answer for another operator."""
+    if h.n_qubits > cap:
+        raise ResourceLimitError(f"{what} limited to {cap} qubits, got {h.n_qubits}")
+    if not h.is_hermitian():
+        raise ValueError("operator is not Hermitian")
+    return np.linalg.eigh(h.dense())
+
+
 def ground_state(h: PauliHamiltonian) -> GroundState:
     """Exact ground state and gap via dense Hermitian eigendecomposition.
 
@@ -282,12 +292,7 @@ def ground_state(h: PauliHamiltonian) -> GroundState:
     (tolerance GAP_DISTINCT_TOL); a spectrum with a single distinct value
     raises DegenerateSpectrumError.
     """
-    if h.n_qubits > DENSE_QUBIT_CAP:
-        raise ResourceLimitError(
-            f"exact spectrum limited to {DENSE_QUBIT_CAP} qubits, got {h.n_qubits}")
-    if not h.is_hermitian():
-        raise ValueError("operator is not Hermitian")
-    w, v = np.linalg.eigh(h.dense())
+    w, v = _eigh(h, DENSE_QUBIT_CAP, "exact spectrum")
     e0 = float(w[0])
     above = w[w > e0 + GAP_DISTINCT_TOL]
     if above.size == 0:
@@ -300,14 +305,11 @@ def ground_state(h: PauliHamiltonian) -> GroundState:
 def eigen_components(h: PauliHamiltonian, state: np.ndarray):
     """(energies, vectors, vectors^+ state): the eigenbasis of h by dense
     eigh, and the state expanded in it; the reference of the predictors and
-    the lcu filter.  Checks the cap and the state's length first."""
-    if h.n_qubits > REFERENCE_QUBIT_CAP:
-        raise ResourceLimitError(
-            f"dense eigenbasis reference needs n <= {REFERENCE_QUBIT_CAP}, got {h.n_qubits}")
+    the lcu filter."""
+    energies, vectors = _eigh(h, REFERENCE_QUBIT_CAP, "dense eigenbasis reference")
     vec = np.asarray(state, dtype=complex).reshape(-1)
     if vec.size != 1 << h.n_qubits:
         raise ValueError(f"state has {vec.size} amplitudes, expected {1 << h.n_qubits}")
-    energies, vectors = np.linalg.eigh(h.dense())
     return energies, vectors, vectors.conj().T @ vec
 
 

@@ -255,6 +255,8 @@ def filter_generator_dense(h: PauliHamiltonian, t: float, delta: float) -> np.nd
     Reference for circuit validation; eigendecomposes the Hermitian
     generator, so it is exact up to floating point.
     """
+    if not h.is_hermitian():
+        raise ValueError("operator is not Hermitian")
     hd = h.dense()
     dim = hd.shape[0]
     y = np.array([[0.0, -1.0j], [1.0j, 0.0]])

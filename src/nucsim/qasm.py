@@ -36,8 +36,7 @@ the quantum register.  Fused C1/C2 payloads have no OpenQASM name; with
 ``decompose=True`` a C1 emits as one u3 and a C2 as a cosine-sine ladder
 (two cx, two rzz, single-qubit layers), both exact up to global phase.
 One emit call formats each run of the circuit once and repeats its lines,
-formats each distinct instruction object once and repeats its text, and
-decomposes each distinct C2 payload once; the memos live for that call
+and decomposes each distinct C2 payload once; that memo lives for the call
 only.
 """
 
@@ -568,16 +567,7 @@ def emit_qasm(circuit: Circuit, decompose: bool = False) -> str:
         if name == "q":
             raise ValueError("classical register 'q' clashes with the emitted quantum register q")
         lines.append(f"creg {name}[{size}];")
-    # this call's memos: the text of each instruction object (instructions
-    # hash by identity), and each C2 payload's decomposition
-    emitted: dict[Instruction, str] = {}
-    ladders: dict[int, tuple[list[tuple], np.ndarray]] = {}
+    ladders: dict[int, tuple[list[tuple], np.ndarray]] = {}  # this call's C2 decompositions
     for body, count in circuit.runs:  # each run's lines are formatted once
-        texts = []
-        for ins in body:
-            text = emitted.get(ins)
-            if text is None:
-                text = emitted[ins] = _emit_instruction(circuit, ins, decompose, ladders)
-            texts.append(text)
-        lines += texts * count
+        lines += [_emit_instruction(circuit, ins, decompose, ladders) for ins in body] * count
     return "\n".join(lines) + "\n"

@@ -587,6 +587,10 @@ def test_kernel_validation():
         apply_2q(s, np.eye(2, dtype=complex), 0, 1)
     with pytest.raises(ValueError, match="at least one qubit"):  # not a 1x1 "gate"
         apply_dense(s, np.full((1, 1), 2.0, dtype=complex), ())
+    with pytest.raises(ValueError, match=r"duplicate qubit in \(1, 1\)"):
+        apply_dense(s, np.eye(4, dtype=complex), (1, 1))
+    with pytest.raises(ValueError, match="matrix must be 4x4"):
+        apply_dense(s, np.eye(2, dtype=complex), (1, 0))
 
 
 def test_kernels_recycle_two_buffers():
@@ -1074,6 +1078,36 @@ def test_rejection_early_abort_counts_first_step():
     assert report.step_rejections == [50, 0]
     assert report.samples == {}
     assert report.energy is None
+
+
+@pytest.mark.parametrize("mode", ["mma", "rejection"])
+@pytest.mark.parametrize("terms, message", [
+    ({"ZZZZ": 0.5}, "operator acts on more qubits than the state"),
+    ({"XZI": 0.3j, "ZZI": 0.2}, "operator is not Hermitian"),
+], ids=["wide", "non-hermitian"])
+def test_run_refuses_an_operator_it_cannot_measure_before_it_executes(
+        monkeypatch, mode, terms, message):
+    """The operator is checked before the state is allocated or the plan
+    compiled, so no kernel runs; in rejection mode that holds also where no
+    shot is accepted and the energy would never be read."""
+    if mode == "mma":
+        circ, _ = fuse_pipeline(oracles.chain_filter_circuit(2, 2, 3))  # ancilla 2
+    else:  # the ancilla is forced to |1>: every shot rejects at step 0
+        circ = Circuit(3, [("c", 1), ("r", 3)])
+        circ.h(0)
+        circ.x(2)
+        circ.measure(2, 0)
+        circ.reset(2)
+        for q in range(3):
+            circ.measure(q, circ.clbit_index("r", q))
+    h = PauliHamiltonian(len(next(iter(terms))), terms)
+    calls = []
+    real = engine._kernel_block
+    monkeypatch.setattr(engine, "_kernel_block",
+                        lambda *args: calls.append(None) or real(*args))
+    with pytest.raises(ValueError, match=message):
+        run(circ, mode, 64, 5, 2 if mode == "mma" else None, hamiltonian=h)
+    assert calls == []
 
 
 def test_rejection_is_deterministic():

@@ -468,9 +468,9 @@ def test_fresh_products_do_not_grow_with_trotter_count(monkeypatch):
         fuse_pipeline(oracles.chain_filter_circuit(7, 6, trotter))
         assert len(memos) == 4  # one per pass call
         # every memo entry is one matrix computed afresh
-        counts.append([(len(m._product), len(m._lift), len(m._swapped)) for m in memos])
+        counts.append([(len(m._product), len(m._lift)) for m in memos])
     assert counts[0] == counts[1]
-    assert sum(p for p, _, _ in counts[0]) > 0
+    assert sum(p for p, _ in counts[0]) > 0
 
 
 def test_absorb_sweeps_once_on_merged_filter_circuit(monkeypatch):

@@ -355,6 +355,8 @@ def test_jacobi_rejects_non_hermitian():
         jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="non-finite"):
         jacobi_eigh(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="must be square"):
+        jacobi_eigh(np.zeros((2, 3)))
 
 
 def test_eigensolvers_agree_with_characteristic_polynomial():
@@ -425,6 +427,10 @@ v 0 1 0 1 0.25
         parse_second_quantized_text("w 0 1 0.5\n")
     with pytest.raises(ValueError):
         parse_second_quantized_text("\n")
+    with pytest.raises(ValueError, match="^line 1: expected 'ns N'$"):
+        parse_second_quantized_text("ns\nt 0 1 0.5\n")
+    with pytest.raises(ValueError, match="^line 1: bad mode index$"):
+        parse_second_quantized_text("t 0 a 0.5\n")
     for bad in ("t 0 0 nan", "t 0 1 inf", "v 0 1 0 1 -inf"):
         with pytest.raises(ValueError, match="^line 2: .*not finite"):
             parse_second_quantized_text(f"ns 2\n{bad}\n")

@@ -203,6 +203,18 @@ def test_resource_cap_at_ten_qubits():
         lcu_success_probability(h, exp, psi)
 
 
+@pytest.mark.parametrize("call", [
+    lambda h, psi: apply_cos_filter(h, 1, psi),
+    lambda h, psi: lcu_reference(h, lcu_coefficients(2), psi),
+    lambda h, psi: lcu_success_probability(h, lcu_coefficients(2), psi),
+], ids=["apply_cos_filter", "lcu_reference", "lcu_success_probability"])
+def test_non_hermitian_operators_are_refused(call):
+    """eigh reads one triangle only: {X: 0.3j, Z: 0.2} would pass for
+    0.2 Z + 0.3 Y."""
+    with pytest.raises(ValueError, match="operator is not Hermitian"):
+        call(PauliHamiltonian(1, {"X": 0.3j, "Z": 0.2}), np.array([1.0, 0.0]))
+
+
 def test_state_length_is_checked_before_the_spectrum():
     exp = lcu_coefficients(2)
     for h in (two_level(0.5), PauliHamiltonian(1, {"Z": 1.6})):  # in and out of range

@@ -151,6 +151,17 @@ def test_predict_success_on_eigenstate_trial():
     assert energy == pytest.approx(0.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("call", [
+    lambda h: predict_success(h, TrialState.basis("0"), default_schedule(0.4, 2)),
+    lambda h: filter_generator_dense(h, 1.2, 0.3),
+], ids=["predict_success", "filter_generator_dense"])
+def test_non_hermitian_operators_are_refused(call):
+    """eigh reads one triangle only: {X: 0.3j, Z: 0.2} would pass for
+    0.2 Z + 0.3 Y."""
+    with pytest.raises(ValueError, match="operator is not Hermitian"):
+        call(PauliHamiltonian(1, {"X": 0.3j, "Z": 0.2}))
+
+
 def test_predict_success_two_level_half():
     # single qubit with spectrum {0, delta}
     delta = 0.8

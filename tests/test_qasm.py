@@ -138,6 +138,13 @@ def test_comments_and_whitespace_ignored():
     (HEADER + "  barrier q;\nqreg q[1];\n", 3, "column 3: statement before any qreg"),
     (HEADER + "qreg q[1];\ncreg c[0];\n", 4, "column 6: register size must be positive"),
     (HEADER + "qreg q;\n", 3, "column 6: expected a register size"),
+    (HEADER + "qreg q[2];\ngate foo a;\n", 4, "user-defined gate blocks are not supported"),
+    (HEADER + "qreg q[2];\nopaque foo a;\n", 4, "user-defined gate blocks are not supported"),
+    (HEADER + "qreg q[2];\ncreg c[2];\nmeasure p[0] -> c[0];\n", 5,
+     "column 9: unknown quantum register 'p'"),
+    (HEADER + "qreg q[2];\ncreg c[2];\nmeasure q -> c[0];\n", 5,
+     "measure needs both sides indexed or both whole registers"),
+    (HEADER + "qreg q[2];\ncreg c[2];\nmeasure q[5] -> c[0];\n", 5, "q[5] out of range"),
     pytest.param(HEADER + "qreg q[1];\n  rz(" + "(" * 250 + "1" + ")" * 250 + ") q[0];\n", 4,
                  "column 3: rz has an angle expression nested too deeply", id="deep-parentheses"),
     pytest.param(HEADER + "qreg q[1];\nu3(0, " + "-" * 1000 + "1, 0) q[0];\n", 4,
