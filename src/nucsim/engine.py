@@ -33,11 +33,17 @@ one contiguous row per value of the operand bits, one (batched) matmul
 multiplies the rows into the live array, and a strided copy scatters the
 result back into scratch in state order.  In place, in one pass, where the
 non-diagonal operands form one run of adjacent qubits below every diagonal
-slot and the run leaves enough amplitudes below or above it: the batched
-matmul reads the state through a view and writes scratch in state order.
-One cached walk, ``_layout``, groups the bits into axes for both forms and
-gives the in-place order where the layout allows it; the compile picks the
-form from that alone, and both give the same bytes.
+slot: the batched matmul reads the state through a view and writes scratch
+in state order.  One cached walk, ``_layout``, groups the bits into axes for
+both forms, and, given the register width, picks the in-place form where
+the matmul gets enough columns for the products it runs (see
+``_in_place_pays``: on 8 qubits nearly every filter block, on 16 those with
+at least 32 amplitudes below their run); both forms give the same bytes.
+
+The executors bind each distinct plan entry to the state's two buffers
+once, as the views its kernel reads and writes (``_bind``), so running a
+block makes only its one to three numpy calls: on narrow registers the
+per-call cost, not the arithmetic, bounds a deep circuit.
 
 Two execution modes:
 
@@ -53,14 +59,16 @@ Two execution modes:
                prefix, the sampling CDF of the latest accepted one) and
                computes each new prefix once, with one cursor state, on
                which a Hamiltonian is also read in place.  It costs about
-               one mma pass plus the per-shot draws.
+               one mma pass plus the per-shot draws, read in chunks; each
+               leaf's sample draws are inverted on its CDF together.
 
 Randomness comes from numpy's Philox bit generator (a documented 64-bit
 counter-based generator with splittable seeding), so identical seeds give
 identical reports; sampling inverts cumulative probabilities with a binary
 search.  A rejection shot draws as if it ran the plan alone: one
 ``random()`` per measure or reset in circuit order, then one
-``random(1)`` for its sample.
+``random(1)`` for its sample; the uniforms are read from chunks of the same
+stream, which leave the generator where those calls would.
 """
 
 from __future__ import annotations
@@ -70,7 +78,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -84,6 +92,9 @@ from .hamiltonian import PauliHamiltonian, _parity, pauli_masks
 EPS_MMA = 1e-12          # assertion fails below this |0> probability
 _NORM_ATOL = 1e-9        # accepted state-norm drift
 _X = gate_matrix(Gate.X)  # flips a reset qubit back to |0>
+# the plan walk compares every instruction's gate with these: a module-level
+# name is cheaper to read than a member looked up on the enum
+_BARRIER, _MEASURE, _RESET = Gate.BARRIER, Gate.MEASURE, Gate.RESET
 
 
 def _check_width(n_qubits: int) -> None:
@@ -169,25 +180,33 @@ def _check_qubit(state: StateVector, q: int) -> None:
 _BLOCK_QUBITS = 4
 
 
-# One unchecked kernel, _kernel_block, runs every gate and block at every
-# width (see the module docstring).  The executors call it on each plan
-# entry; the public apply_* functions validate and then call it.
-def _kernel_block(state: StateVector, u: np.ndarray, shape: tuple[int, ...],
-                  perm: tuple[int, ...], in_place: bool = False) -> None:
-    # shape and perm come from _layout: its gathered perm, or its in-place
-    # perm when in_place is set; u is indexed over the sorted operand qubits,
-    # sum(bit(qubits[i]) * 2^i), with one leading axis per diagonal slot
-    # (see _plan_entry)
-    a, s = state.amps, state.scratch()
+# One kernel definition, _kernel_calls, runs every gate and block at every
+# width (see the module docstring).  _bind lays each plan entry onto a
+# state's two buffers once, so the executors make only its numpy calls; the
+# public apply_* functions validate and then call _kernel_block.
+def _kernel_calls(a: np.ndarray, s: np.ndarray, u: np.ndarray, shape: tuple[int, ...],
+                  perm: tuple[int, ...], in_place: bool = False) -> tuple:
+    """The numpy calls of one kernel that reads the amplitudes in buffer a
+    and leaves the result in buffer s, a then being scratch.
+
+    shape and perm come from _layout: its gathered perm, or its in-place
+    perm when in_place is set; u is indexed over the sorted operand qubits,
+    sum(bit(qubits[i]) * 2^i), with one leading axis per diagonal slot (see
+    _plan_entry).  Nothing is allocated when the calls run."""
     view = a.reshape(shape).transpose(perm)
     if in_place:
-        np.matmul(u, view, out=s.reshape(shape).transpose(perm))
-    else:
-        rows = u.shape[:-1] + (-1,)
-        np.copyto(s.reshape(view.shape), view)
-        np.matmul(u, s.reshape(rows), out=a.reshape(rows))
-        np.copyto(s.reshape(shape).transpose(perm), a.reshape(view.shape))
-    state.amps, state._scratch = s, a
+        return (partial(np.matmul, u, view, s.reshape(shape).transpose(perm)),)
+    rows = u.shape[:-1] + (-1,)
+    return (partial(np.copyto, s.reshape(view.shape), view),
+            partial(np.matmul, u, s.reshape(rows), a.reshape(rows)),
+            partial(np.copyto, s.reshape(shape).transpose(perm), a.reshape(view.shape)))
+
+
+def _kernel_block(state: StateVector, u: np.ndarray, shape: tuple[int, ...],
+                  perm: tuple[int, ...], in_place: bool = False) -> None:
+    for call in _kernel_calls(state.amps, state.scratch(), u, shape, perm, in_place):
+        call()
+    state.amps, state._scratch = state._scratch, state.amps
 
 
 # The gathering kernel's copies are slow on short inner loops: on 2^16
@@ -198,36 +217,58 @@ def _kernel_block(state: StateVector, u: np.ndarray, shape: tuple[int, ...],
 _COPY_RUN = 8
 
 
-# _kernel_block multiplies in place only when each matmul gets at least this
-# many columns.  On 2^16 amplitudes an 8 x 8 block diagonal in one slot above
-# its run took 1,150 us in place with 2^2 amplitudes below the run, 520 us
-# with 2^4 and 330 us with 2^6, against 430-540 us gathered; with the run at
-# bit 0, 430 us in place with 2^3 rows above it and 250 us with 2^5.  Below
-# four columns the in-place product also differs from the gathered one in
-# the last bits (the matmul takes another BLAS path).
+# Where the layout allows it, a block multiplies in place when its matmul
+# gets at least 32 columns, or at least 4 with at most 2 x columns products
+# in the batched call, diagonal-slot values not counted.  us per kernel call,
+# in place / gathered, for an 8 x 8 block on the run lo..lo+2 diagonal in the
+# top qubit, with the calls bound as the executors make them (median of
+# 7 x 400 calls, one BLAS thread, 2-core host); * marks the rule's pick:
+#
+#    n   lo = 0        1            2            3            4
+#    6    2.4*/4.5     2.9/4.4*     1.9*/3.3
+#    8    2.3*/4.1     6.2/4.2*     4.0*/4.4     2.9*/4.9     2.6*/4.7
+#   10    4.6*/8.2    20.3/7.6*    11.0/8.5*     9.9*/9.4     5.4*/7.8
+#   12   16.1*/21.3   83.3/23.7*   43.7/20.7*   25.1/21.5*   16.6*/20.3
+#   14   34.8*/79.5    335/77.9*    158/77.9*   89.6/68.4*   60.0/66.3*
+#   16    139*/323    1261/340*     608/336*     357/315*     248/284*
+#
+# A narrow state pays the call, not the arithmetic, so in place wins there
+# with few columns; a wide one pays a product per few columns.  Below 4
+# columns the in-place bytes differ from the gathered ones (the matmul takes
+# another BLAS path): at 4-11 qubits in 171 of 216 layouts with 2 columns,
+# and in none of 477 with 4 or more, under 1 and 2 BLAS threads.
 _IN_PLACE_COLUMNS = 32
+_FEW_PRODUCTS = 2
+
+
+def _in_place_pays(columns: int, others: int) -> bool:
+    """Whether a block that can multiply in place does, its matrix getting
+    `columns` columns of the `others` amplitudes per value of its operand
+    bits: the batched matmul then runs others / columns products for each
+    value of the diagonal slots."""
+    return columns >= _IN_PLACE_COLUMNS or columns >= 4 and others <= _FEW_PRODUCTS * columns ** 2
 
 
 @lru_cache(maxsize=4096)
-def _layout(qubits: tuple[int, ...], diag: tuple[int, ...] = ()):
-    """State axes for _kernel_block on ascending qubits, of which diag
-    (ascending) are diagonal slots: (shape, gathered perm, in-place perm or
-    None).
+def _layout(qubits: tuple[int, ...], diag: tuple[int, ...], n_qubits: int):
+    """State axes for _kernel_calls on ascending qubits of an n_qubits
+    state, of which diag (ascending) are diagonal slots: (shape, gathered
+    perm, in-place perm or None).
 
     Each diagonal slot is one axis of size 2, each run of adjacent other
     operands one axis of size 2^m, as are the bits between them; the bits
-    above all operands are a leading -1 axis, so the layout holds at any
-    width.  The gathered perm puts the diagonal axes first, then the other
-    operand axes, each highest first, then the others in state order, apart
-    from those spanning under _COPY_RUN amplitudes, which go first.
+    above all operands are a leading -1 axis.  The gathered perm puts the
+    diagonal axes first, then the other operand axes, each highest first,
+    then the others in state order, apart from those spanning under
+    _COPY_RUN amplitudes, which go first.
 
-    The kernel multiplies in place where the other operands are one run of
-    m >= 2 qubits below every diagonal slot and the matrix gets
-    _IN_PLACE_COLUMNS columns: the 2^lo amplitudes below the run, or, with
-    the run at bit 0, the rows between it and the lowest diagonal slot (the
-    run axis and that one swapped).  The in-place perm puts the diagonal
-    axes just before those two (where u's batch axes broadcast) and every
-    other axis before them."""
+    The kernel can multiply in place where the other operands are one run of
+    m >= 2 qubits below every diagonal slot: its matrix then gets as columns
+    the 2^lo amplitudes below the run, or, with the run at bit 0, the rows
+    between it and the lowest diagonal slot or the top (the run axis and
+    that one swapped).  It does where _in_place_pays says so.  The in-place
+    perm puts the diagonal axes just before those two (where u's batch axes
+    broadcast) and every other axis before them."""
     sizes, kinds = _runs([("slot", q) if q in diag else "run" if q in qubits else None
                           for q in range(qubits[-1] + 1)])
     shape = (-1, *sizes)
@@ -241,15 +282,16 @@ def _layout(qubits: tuple[int, ...], diag: tuple[int, ...] = ()):
     if len(dense) == 1 and shape[dense[0]] >= 4 and dense[0] > max(slots, default=0):
         run = dense[0]
         cols = run + 1 if run + 1 < len(shape) else run - 1
-        if shape[cols] >= _IN_PLACE_COLUMNS:  # the -1 axis never is
+        columns = shape[cols] if cols else 1 << (n_qubits - 1 - qubits[-1])
+        if _in_place_pays(columns, 1 << (n_qubits - len(qubits))):
             in_place = tuple([ax for ax in range(run) if ax != cols and ax not in slots]
                              + slots + [run, cols])
     return shape, tuple(slots + dense + rest), in_place
 
 
 class Block(NamedTuple):
-    """A plan entry: a matrix on ascending qubits, run by
-    _kernel_block(state, u, shape, perm, in_place)."""
+    """A plan entry: a matrix on ascending qubits, run as the calls of
+    _kernel_calls(amps, scratch, u, shape, perm, in_place)."""
     qubits: tuple[int, ...]
     u: np.ndarray
     shape: tuple[int, ...]
@@ -280,8 +322,8 @@ def _slot_masks(k: int) -> np.ndarray:
     return np.repeat(differ.reshape(k, -1), 2, axis=1).astype(np.float64)
 
 
-def _plan_entry(qubits: tuple[int, ...], u: np.ndarray) -> Block:
-    """The plan entry for a matrix u on ascending qubits.
+def _plan_entry(qubits: tuple[int, ...], u: np.ndarray, n_qubits: int) -> Block:
+    """The plan entry for a matrix u on ascending qubits of an n_qubits state.
 
     A slot whose off-diagonal couplings have a norm within _DIAG_ATOL acts
     as a control, as the ancilla of a filter step's inner blocks does up to
@@ -297,15 +339,15 @@ def _plan_entry(qubits: tuple[int, ...], u: np.ndarray) -> Block:
         dense = tuple(j for j in range(k) if j not in diag)
         u = u.ravel().take(_lift_index(dense, k)).reshape(
             (2,) * len(diag) + (1 << len(dense),) * 2)
-    shape, gathered, in_place = _layout(qubits, tuple(qubits[j] for j in diag))
+    shape, gathered, in_place = _layout(qubits, tuple(qubits[j] for j in diag), n_qubits)
     return Block(qubits, u, shape, in_place or gathered, in_place is not None)
 
 
-def _fuse_block(gates: list[tuple[np.ndarray, tuple[int, ...]]]) -> Block:
+def _fuse_block(gates: list[tuple[np.ndarray, tuple[int, ...]]], n_qubits: int) -> Block:
     """The plan entry for consecutive gates, given as (matrix, qubits) in
     circuit order: their product on the sorted union of their qubits
-    (gates._compose), as _plan_entry lays it out."""
-    return _plan_entry(*_compose(gates))
+    (gates._compose), as _plan_entry lays it out on n_qubits."""
+    return _plan_entry(*_compose(gates), n_qubits)
 
 
 def apply_1q(state: StateVector, u: np.ndarray, q: int) -> StateVector:
@@ -314,7 +356,7 @@ def apply_1q(state: StateVector, u: np.ndarray, q: int) -> StateVector:
     _check_qubit(state, q)
     if u.shape != (2, 2):
         raise ValueError("matrix must be 2x2")
-    _kernel_block(state, u, *_layout((q,))[:2])
+    _kernel_block(state, u, *_layout((q,), (), state.n_qubits)[:2])
     return state
 
 
@@ -330,7 +372,7 @@ def apply_2q(state: StateVector, u: np.ndarray, p: int, q: int) -> StateVector:
         raise ValueError("qubits must be ordered p < q")
     if u.shape != (4, 4):
         raise ValueError("matrix must be 4x4")
-    _kernel_block(state, u, *_layout((p, q))[:2])
+    _kernel_block(state, u, *_layout((p, q), (), state.n_qubits)[:2])
     return state
 
 
@@ -347,7 +389,7 @@ def apply_dense(state: StateVector, u: np.ndarray, qubits: tuple[int, ...]) -> S
     for q in qubits:
         _check_qubit(state, q)
     u, qubits = sort_operands(u, qubits)
-    _kernel_block(state, u, *_layout(qubits)[:2])
+    _kernel_block(state, u, *_layout(qubits, (), state.n_qubits)[:2])
     return state
 
 
@@ -421,11 +463,10 @@ def _cdf(state: StateVector) -> np.ndarray:
     return np.cumsum(_probabilities(state))
 
 
-def _draw(cum: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Basis indices of shots draws from a cumulative table: one
-    rng.random(shots) call, then a binary search per draw."""
-    draws = rng.random(shots) * cum[-1]
-    idx = np.searchsorted(cum, draws, side="right")
+def _draw(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Basis indices of draws from a cumulative table, one per uniform in
+    [0, 1): a binary search per draw."""
+    idx = np.searchsorted(cum, uniforms * cum[-1], side="right")
     np.clip(idx, 0, len(cum) - 1, out=idx)
     return idx
 
@@ -435,7 +476,15 @@ def _tally(idx: np.ndarray, n_qubits: int) -> dict[str, int]:
     # bincount, not np.unique: the first sort of a few hundred draws adds
     # about 0.5 MB to a process's peak RSS, as much as a 15-qubit state
     counts = np.bincount(idx)
-    return {bitstring(int(v), n_qubits): int(counts[v]) for v in np.flatnonzero(counts)}
+    vals = np.flatnonzero(counts)
+    # bitstring's characters for every value at once: code point 48 + bit q
+    # at position q, read as one string per row.  In place: one temporary
+    # table less took 0.6 MB off chain16_mma's peak RSS (1,779 values)
+    codes = vals[:, None] >> np.arange(n_qubits)
+    codes &= 1
+    codes += 48
+    keys = codes.astype(np.uint32).view(f"U{n_qubits}").ravel().tolist()
+    return dict(zip(keys, counts[vals].tolist()))
 
 
 def sample(state: StateVector, shots: int, seed) -> dict[str, int]:
@@ -446,7 +495,7 @@ def sample(state: StateVector, shots: int, seed) -> dict[str, int]:
     rng = _as_rng(seed)
     if shots == 0:
         return {}
-    return _tally(_draw(_cdf(state), shots, rng), state.n_qubits)
+    return _tally(_draw(_cdf(state), rng.random(shots)), state.n_qubits)
 
 
 def _runs(labels: list) -> tuple[list[int], list]:
@@ -617,7 +666,7 @@ def _executed_runs(circuit: Circuit) -> list[tuple[list, int]]:
     while runs:
         body, count = runs[-1]
         j = len(body)
-        while j and body[j - 1].gate in (Gate.MEASURE, Gate.BARRIER):
+        while j and body[j - 1].gate in (_MEASURE, _BARRIER):
             j -= 1
         if j == len(body):
             break
@@ -681,16 +730,16 @@ def _compile(circuit: Circuit, mode: str, ancilla: int | None) -> Plan:
         key = tuple((u.tobytes(), u.dtype, qs) for u, qs in block)
         entry = blocks.get(key)
         if entry is None:
-            entry = blocks[key] = _fuse_block(block)
+            entry = blocks[key] = _fuse_block(block, circuit.n_qubits)
         cells.append(entry)
 
     def walk(body: list) -> None:
         nonlocal block, block_qubits, opened, last, step, measured, pos
         for at, ins in enumerate(body, pos):
             g = ins.gate
-            if g is Gate.BARRIER:
+            if g is _BARRIER:
                 continue
-            if measured is not None and (g is not Gate.RESET or ins.qubits[0] != ancilla):
+            if measured is not None and (g is not _RESET or ins.qubits[0] != ancilla):
                 raise MmaStructureError(
                     f"measure at instruction {measured} lacks a following ancilla reset")
             if ins.is_gate:
@@ -706,7 +755,7 @@ def _compile(circuit: Circuit, mode: str, ancilla: int | None) -> Plan:
             if block:
                 close_block()
                 block, block_qubits = [], set()
-            if g is Gate.MEASURE:
+            if g is _MEASURE:
                 if mode == "mma":
                     if ins.qubits[0] != ancilla:
                         raise MmaStructureError(
@@ -757,29 +806,65 @@ def infer_ancilla(circuit: Circuit) -> int | None:
     hit more than one qubit.
     """
     targets = {ins.qubits[0] for body, _ in _executed_runs(circuit) for ins in body
-               if ins.gate is Gate.MEASURE}
+               if ins.gate is _MEASURE}
     if len(targets) == 1:
         return targets.pop()
     return None
 
 
-def _run_segment(state: StateVector, segment: list[tuple[list[Block], int]]) -> None:
-    for blocks, count in segment:
+def _bind(state: StateVector, plan: Plan) -> tuple[np.ndarray, list]:
+    """The plan laid onto the state's two buffers: (buffer 0, the one that
+    holds the amplitudes now; segments).  Each run of a segment becomes
+    (calls, count, flips): calls[p] are the numpy calls of one copy of its
+    blocks when the copy starts with the amplitudes in buffer p, and flips
+    is 1 when a copy ends in the other buffer (an odd number of blocks).
+    Each distinct Block is bound once per buffer, by _kernel_calls."""
+    buffers = (state.amps, state.scratch())
+    bound: dict[tuple[int, int], tuple] = {}
+
+    def copy_calls(blocks: list[Block], p: int) -> list:
+        out = []
+        for b in blocks:
+            key = (id(b), p)
+            if key not in bound:
+                bound[key] = _kernel_calls(buffers[p], buffers[1 - p], *b[1:])
+            out += bound[key]
+            p ^= 1
+        return out
+
+    return buffers[0], [[((copy_calls(blocks, 0), copy_calls(blocks, 1)), count, len(blocks) % 2)
+                         for blocks, count in segment] for segment in plan.segments]
+
+
+def _run_segment(state: StateVector, first: np.ndarray, segment: list) -> None:
+    """Run one segment bound by _bind, whose buffer 0 is `first`."""
+    p = state.amps is not first
+    for calls, count, flips in segment:
         for _ in range(count):
-            for b in blocks:
-                _kernel_block(state, b.u, b.shape, b.perm, b.in_place)
+            for call in calls[p]:
+                call()
+            p ^= flips
+    if p != (state.amps is not first):
+        state.amps, state._scratch = state._scratch, state.amps
 
 
 def _execute_mma(state: StateVector, plan: Plan) -> list[float]:
     """Run a compiled plan in one pass, asserting |0> at every mid-circuit
     measurement; returns the assertion probabilities in order."""
+    first, segments = _bind(state, plan)
     assert_probs: list[float] = []
-    for segment, (q, step) in zip(plan.segments, plan.points):
-        _run_segment(state, segment)
+    for segment, (q, step) in zip(segments, plan.points):
+        _run_segment(state, first, segment)
         if step is not None:  # a reset finds the |0> its paired assertion left
             assert_probs.append(assert_measure(state, q, step))
-    _run_segment(state, plan.segments[-1])
+    _run_segment(state, first, segments[-1])
     return assert_probs
+
+
+# _execute_rejection draws its uniforms at most this many at a time, so a
+# run of many shots holds 32 KiB of them, not 8 bytes per shot (and a Python
+# float each)
+_DRAW_CHUNK = 4096
 
 
 def _execute_rejection(state: StateVector, plan: Plan, shots: int,
@@ -789,16 +874,23 @@ def _execute_rejection(state: StateVector, plan: Plan, shots: int,
     A shot's state at a measure or reset point depends only on the outcomes
     drawn before it, its prefix, so the outcome tree is memoized for this
     call: P(0) at the next point of every visited prefix, and the sampling
-    CDF of the latest accepted prefix, one state-sized table at a time.  A
-    shot draws one rng.random() per point and rng.random(1) for its sample,
-    looking the rest up.  One cursor state computes each new prefix, one
-    segment on from its parent when the cursor sits there, otherwise by a
-    replay from |0...0>, so no shot costs more than one plan pass.
+    CDF of the latest accepted prefix, one state-sized table at a time.  One
+    cursor state computes each new prefix, one segment on from its parent
+    when the cursor sits there, otherwise by a replay from |0...0>, so no
+    shot costs more than one plan pass.
+
+    A shot reads one uniform per point it reaches and one for its sample:
+    those of one rng.random() each, in shot order, read from chunks of the
+    same stream.  A chunk holds at most one uniform per shot still to run,
+    and each of them reads at least one, so the generator ends where a
+    per-shot loop leaves it.  The sample uniforms of the shots that reach a
+    leaf are held and inverted on its CDF together, before it is dropped.
 
     Returns (accepted, samples, step_rejections, energy), energy being the
     hamiltonian's on the first accepted shot's state, read in place, or None.
     """
-    segments, points = plan.segments, plan.points
+    first, segments = _bind(state, plan)
+    points = plan.points
     p0s: dict[tuple[int, ...], float] = {}
     leaf: tuple | None = None             # (accepted prefix, its CDF)
     at: tuple[int, ...] | None = None    # the prefix the cursor state sits at
@@ -810,7 +902,7 @@ def _execute_rejection(state: StateVector, plan: Plan, shots: int,
         else:
             start = 0
             state.restart()
-            _run_segment(state, segments[0])
+            _run_segment(state, first, segments[0])
         for i in range(start, len(prefix)):
             q = points[i][0]
             if prefix[i] == 0:
@@ -818,22 +910,28 @@ def _execute_rejection(state: StateVector, plan: Plan, shots: int,
             else:  # a reset found |1>
                 # measured, not 1 - p0, which cancels when P(1) is tiny
                 _project(state.amps, q, 1, _branch_probability(state.amps, q, 1))
-                _kernel_block(state, _X, *_layout((q,))[:2])
-            _run_segment(state, segments[i + 1])
+                _kernel_block(state, _X, *_layout((q,), (), state.n_qubits)[:2])
+            _run_segment(state, first, segments[i + 1])
         at = prefix
 
+    def chunks():
+        while True:
+            yield from rng.random(min(shots - shot, _DRAW_CHUNK)).tolist()
+
+    uniform = chunks().__next__
     step_rejections = [0] * plan.n_steps
     drawn = np.empty(shots, dtype=np.intp)
+    held: list[float] = []  # the sample uniforms of the shots accepted at leaf
     accepted = 0
     energy: float | None = None
-    for _ in range(shots):
+    for shot in range(shots):
         prefix: tuple[int, ...] = ()
         for q, step in points:
             p0 = p0s.get(prefix)
             if p0 is None:
                 seek(prefix)
                 p0 = p0s[prefix] = _branch_probability(state.amps, q, 0)
-            if rng.random() < p0:
+            if uniform() < p0:
                 prefix += (0,)
             elif step is None:
                 prefix += (1,)
@@ -843,14 +941,19 @@ def _execute_rejection(state: StateVector, plan: Plan, shots: int,
                 break
         else:
             if leaf is None or leaf[0] != prefix:
+                if held:
+                    drawn[accepted - len(held):accepted] = _draw(leaf[1], np.array(held))
+                    held.clear()
                 leaf = None  # drop the old table before building the new one
                 seek(prefix)
                 leaf = (prefix, _cdf(state))
                 if hamiltonian is not None and energy is None:
                     # the CDF is its own array, so the scratch buffer is idle
                     energy = expectation_pauli(state, hamiltonian)
-            drawn[accepted] = _draw(leaf[1], 1, rng)[0]
+            held.append(uniform())
             accepted += 1
+    if held:
+        drawn[accepted - len(held):accepted] = _draw(leaf[1], np.array(held))
     return accepted, _tally(drawn[:accepted], state.n_qubits), step_rejections, energy
 
 
@@ -866,6 +969,9 @@ def run(circuit: Circuit, mode: str, shots: int, seed: int, ancilla: int | None,
     first accepted shot.  An operator it cannot measure is refused before
     anything runs, also when no shot would be accepted.
 
+    The plan is compiled for this register's width, which picks each
+    block's kernel form, and bound to the state's two buffers once, so each
+    block runs as its numpy calls alone; that changes no byte of a report.
     Rejection mode memoizes the outcome tree for this call only (see
     ``_execute_rejection``): each distinct outcome prefix is computed once,
     and the report equals that of restarting the plan from |0...0> for every

@@ -423,7 +423,9 @@ def format_pauli_text(h: PauliHamiltonian) -> str:
 
 
 def parse_second_quantized_text(text: str) -> SecondQuantizedInput:
-    """Parse 'ns N', 't i j value' and 'v i j k l value' records."""
+    """Parse 'ns N', 't i j value' and 'v i j k l value' records.  A mode
+    count wider than the engine's size guard allows raises
+    ResourceLimitError."""
     records = _content_lines(text)
     n_modes = 0
     body: list[tuple[int, list[str]]] = []
@@ -442,6 +444,10 @@ def parse_second_quantized_text(text: str) -> SecondQuantizedInput:
                 raise ValueError(f"line {lineno}: bad mode index") from None
     if n_modes == 0:
         raise ValueError("no records found")
+    from .engine import _check_width  # the engine imports this module
+    # one qubit per mode: a register too wide to simulate is refused here,
+    # before build_hamiltonian builds 2n Jordan-Wigner operators of n letters
+    _check_width(n_modes)
     sq = SecondQuantizedInput(n_modes)
     for lineno, parts in body:
         try:

@@ -537,10 +537,11 @@ def _emit_line(name: str, params: tuple[float, ...], qubits: tuple[int, ...]) ->
 
 
 def _emit_instruction(circuit: Circuit, ins: Instruction, decompose: bool,
-                      ladders: dict[int, tuple[list[tuple], np.ndarray]]) -> str:
+                      ladders: dict[int, tuple[list[tuple], np.ndarray, dict]]) -> str:
     """The line, or lines, of one instruction.  `ladders` holds the
     decomposition of each C2 payload seen so far onto slots (0, 1), with the
-    payload itself so that its id stays unique."""
+    payload itself so that its id stays unique, and its formatted lines on
+    each qubit pair it was emitted on."""
     g = ins.gate
     if g is Gate.MEASURE:
         reg, offset = circuit.clbit_location(ins.cbit)
@@ -554,9 +555,13 @@ def _emit_instruction(circuit: Circuit, ins: Instruction, decompose: bool,
             return _emit_line("u3", _zyz_u3(ins.matrix), ins.qubits)
         hit = ladders.get(id(ins.matrix))
         if hit is None:
-            hit = ladders[id(ins.matrix)] = (decompose_c2(ins.matrix, 0, 1), ins.matrix)
-        return "\n".join(_emit_line(name, params, tuple(ins.qubits[s] for s in slots))
-                         for name, slots, params in hit[0])
+            hit = ladders[id(ins.matrix)] = (decompose_c2(ins.matrix, 0, 1), ins.matrix, {})
+        text = hit[2].get(ins.qubits)
+        if text is None:
+            text = hit[2][ins.qubits] = "\n".join(
+                _emit_line(name, params, tuple(ins.qubits[s] for s in slots))
+                for name, slots, params in hit[0])
+        return text
     return _emit_line(g.value, ins.params, ins.qubits)
 
 
@@ -567,7 +572,7 @@ def emit_qasm(circuit: Circuit, decompose: bool = False) -> str:
         if name == "q":
             raise ValueError("classical register 'q' clashes with the emitted quantum register q")
         lines.append(f"creg {name}[{size}];")
-    ladders: dict[int, tuple[list[tuple], np.ndarray]] = {}  # this call's C2 decompositions
+    ladders: dict[int, tuple[list[tuple], np.ndarray, dict]] = {}  # this call's C2 ladders
     for body, count in circuit.runs:  # each run's lines are formatted once
         lines += [_emit_instruction(circuit, ins, decompose, ladders) for ins in body] * count
     return "\n".join(lines) + "\n"

@@ -10,7 +10,8 @@ under the same thread setting, give the same bytes in every family:
               ``wall_time_s`` dropped: chain16_mma's mma report,
               narrow_rejection's rejection report and an mma run of its
               fused circuit, narrow_cli's report through ``cli.main`` with
-              the QASM and gate counts that ``prepare`` wrote
+              the QASM and gate counts that ``prepare`` wrote, and a deep
+              narrow filter (8 qubits, Trotter 4,300) in both modes
 ``qasm``      every ``tests/data/*.qasm``, unfused and fused, in mma and
               rejection mode (an error's type and message where a run
               refuses), with its ``FusionStats`` and
@@ -58,6 +59,7 @@ from nucsim.errors import FilterAssertionError, MmaStructureError  # noqa: E402
 from nucsim.hamiltonian import format_pauli_text, load_hamiltonian_text  # noqa: E402
 
 SEEDS = (0, 1, 2)
+DEEP_TROTTER = 4300
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -149,6 +151,16 @@ def workload_reports(reports: Family, plans: Family, workdir: Path) -> None:
         parsed = parse_qasm(qasm)
         add_plans(plans, f"narrow_cli unfused {seed}", parsed)
         add_plans(plans, f"narrow_cli fused {seed}", fuse_pipeline(parsed)[0])
+
+        # a deep narrow filter, 7 spins + ancilla at Trotter 4,300 (about
+        # 10^6 gates), where execution is per-call cost
+        deep = workloads.ChainMma(seed, workdir, n_spins=7, steps=2, trotter=DEEP_TROTTER,
+                                  shots=1024)
+        reports.add(f"deep_narrow {seed}", report_dict(deep.op()))
+        fused, _ = fuse_pipeline(deep._build())
+        reports.add(f"deep_narrow rejection {seed}",
+                    report_dict(run(fused, "rejection", deep.shots, deep.run_seed, None)))
+        add_plans(plans, f"deep_narrow {seed}", fused)
 
 
 def qasm_files(qasm: Family, plans: Family) -> None:

@@ -132,14 +132,16 @@ def block_product_on_identity(gates: list[tuple[np.ndarray, tuple[int, ...]]]
     batch = engine.StateVector._adopt(np.eye(1 << k, dtype=np.complex128).ravel())
     for g, qs in gates:
         g, slots = _ascending(g, tuple(slot[q] for q in qs))
-        engine._kernel_block(batch, g, *engine._layout(slots)[:2])
+        engine._kernel_block(batch, g, *engine._layout(slots, (), 2 * k)[:2])
     return qubits, batch.amps.reshape(1 << k, 1 << k)
 
 
-def fuse_block_on_identity(gates: list[tuple[np.ndarray, tuple[int, ...]]]) -> engine.Block:
-    """The plan entry for consecutive gates: block_product_on_identity's
-    product, laid out by the engine's own _plan_entry."""
-    return engine._plan_entry(*block_product_on_identity(gates))
+def fuse_block_on_identity(gates: list[tuple[np.ndarray, tuple[int, ...]]],
+                           n_qubits: int) -> engine.Block:
+    """The plan entry for consecutive gates on an n_qubits state:
+    block_product_on_identity's product, laid out by the engine's own
+    _plan_entry."""
+    return engine._plan_entry(*block_product_on_identity(gates), n_qubits)
 
 
 def expectation_per_term(amps: np.ndarray, h: PauliHamiltonian) -> float:
@@ -610,7 +612,7 @@ def rejection_per_shot(circuit: Circuit, shots: int, seed: int,
                 break
             else:  # a reset found |1>
                 engine._project(state.amps, q, 1, engine._branch_probability(state.amps, q, 1))
-                engine._kernel_block(state, engine._X, *engine._layout((q,))[:2])
+                engine._kernel_block(state, engine._X, *engine._layout((q,), (), state.n_qubits)[:2])
         else:
             run_segment(-1)
             accepted += 1
@@ -626,6 +628,75 @@ def rejection_per_shot(circuit: Circuit, shots: int, seed: int,
         ancilla=None, assert_probs=[], overall_success=accepted / shots,
         samples=counts, energy=energy, accepted=accepted,
         rejected=shots - accepted, step_rejections=step_rejections)
+
+
+def rejection_shot_by_shot(state: engine.StateVector, plan: engine.Plan, shots: int,
+                           rng: np.random.Generator,
+                           hamiltonian: PauliHamiltonian | None = None):
+    """engine._execute_rejection by its former shot loop: the same memo of
+    the outcome tree, but every shot calls rng.random() once per point it
+    reaches and inverts its own rng.random(1) on its leaf's CDF, and each
+    kernel runs through engine._kernel_block."""
+    segments, points = plan.segments, plan.points
+    p0s: dict[tuple[int, ...], float] = {}
+    leaf: tuple | None = None
+    at: tuple[int, ...] | None = None
+
+    def run_segment(segment) -> None:
+        for blocks, count in segment:
+            for b in blocks * count:
+                engine._kernel_block(state, b.u, b.shape, b.perm, b.in_place)
+
+    def seek(prefix: tuple[int, ...]) -> None:
+        nonlocal at
+        if prefix and prefix[:-1] == at:
+            start = len(at)
+        else:
+            start = 0
+            state.restart()
+            run_segment(segments[0])
+        for i in range(start, len(prefix)):
+            q = points[i][0]
+            if prefix[i] == 0:
+                engine._project(state.amps, q, 0, p0s[prefix[:i]])
+            else:
+                engine._project(state.amps, q, 1, engine._branch_probability(state.amps, q, 1))
+                engine._kernel_block(state, engine._X,
+                                     *engine._layout((q,), (), state.n_qubits)[:2])
+            run_segment(segments[i + 1])
+        at = prefix
+
+    step_rejections = [0] * plan.n_steps
+    drawn = np.empty(shots, dtype=np.intp)
+    accepted = 0
+    energy = None
+    for _ in range(shots):
+        prefix: tuple[int, ...] = ()
+        for q, step in points:
+            p0 = p0s.get(prefix)
+            if p0 is None:
+                seek(prefix)
+                p0 = p0s[prefix] = engine._branch_probability(state.amps, q, 0)
+            if rng.random() < p0:
+                prefix += (0,)
+            elif step is None:
+                prefix += (1,)
+            else:
+                step_rejections[step] += 1
+                break
+        else:
+            if leaf is None or leaf[0] != prefix:
+                leaf = None
+                seek(prefix)
+                leaf = (prefix, engine._cdf(state))
+                if hamiltonian is not None and energy is None:
+                    energy = engine.expectation_pauli(state, hamiltonian)
+            drawn[accepted] = engine._draw(leaf[1], rng.random(1))[0]
+            accepted += 1
+    counts = np.bincount(drawn[:accepted])
+    samples = {engine.bitstring(int(v), state.n_qubits): int(counts[v])
+               for v in np.flatnonzero(counts)}
+    return accepted, samples, step_rejections, energy
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -328,13 +328,13 @@ def test_structured_blocks_match_the_dense_block(n, seed):
     k = len(qubits)
     u = block_diagonal_unitary(rng, k, diag, 1e-16)
     amps = oracles.random_state(rng, 2 ** n)
-    entry = engine._plan_entry(qubits, u)
+    entry = engine._plan_entry(qubits, u, n)
     # each diagonal slot is one batch axis of the stored sub-blocks
     assert entry.u.shape == (2,) * len(diag) + (1 << (k - len(diag)),) * 2
     got = run_entry(entry, amps)
     assert np.max(np.abs(got - oracles.moveaxis_kq(amps, u, qubits))) <= 1e-12
     if entry.in_place:  # the in-place product must be the gathered one, bit for bit
-        gathered = entry._replace(perm=engine._layout(qubits, tuple(qubits[j] for j in diag))[1],
+        gathered = entry._replace(perm=engine._layout(qubits, tuple(qubits[j] for j in diag), n)[1],
                                   in_place=False)
         assert np.array_equal(got, run_entry(gathered, amps))
     if diag:  # a coupling of 1e-12 across a diagonal slot keeps the slot dense
@@ -342,59 +342,75 @@ def test_structured_blocks_match_the_dense_block(n, seed):
         r = int(rng.integers(1 << k))
         coupled = u.copy()
         coupled[r, r ^ (1 << j)] += 1e-12
-        entry = engine._plan_entry(qubits, coupled)
+        entry = engine._plan_entry(qubits, coupled, n)
         assert entry.u.shape == (2,) * (len(diag) - 1) + (1 << (k - len(diag) + 1),) * 2
         got = run_entry(entry, amps)
         assert np.max(np.abs(got - oracles.moveaxis_kq(amps, coupled, qubits))) <= 1e-12
 
 
+# (layouts, of them in place) on n qubits
+IN_PLACE_LAYOUTS = {4: (80, 2), 5: (210, 7), 6: (472, 18), 7: (938, 33), 8: (1696, 53),
+                    9: (2850, 74), 10: (4520, 81), 11: (6842, 109), 12: (9968, 117)}
+
+
+def in_place_rule(qubits, diag, n) -> bool:
+    """_layout's in-place rule, written out (see the test below)."""
+    dense = [q for q in qubits if q not in diag]
+    if not (len(dense) >= 2 and dense[-1] - dense[0] + 1 == len(dense)
+            and all(q > dense[-1] for q in diag)):
+        return False
+    above = diag[0] if diag else n  # the rows of a run at bit 0 end here
+    columns = 1 << (dense[0] if dense[0] else above - dense[-1] - 1)
+    products = (1 << (n - len(qubits))) // columns
+    return columns >= 32 or columns >= 4 and products <= 2 * columns
+
+
 def test_every_layout_runs_in_place_exactly_where_the_rule_allows():
-    """Every 1-4 ascending operands on 12 qubits with every subset of them
-    diagonal.  _layout gives an in-place perm exactly when the other
+    """On n = 4-12 qubits, every 1-4 ascending operands with every subset
+    of them diagonal.  _layout gives an in-place perm exactly when the other
     operands are one run lo..hi of at least two qubits below every diagonal
-    slot and the matrix gets _IN_PLACE_COLUMNS columns: the 2^lo amplitudes
-    below the run, or, for lo = 0, the rows between the run and the lowest
-    diagonal slot.  Each in-place kernel gives the gathered kernel's bytes."""
-    n, columns = 12, engine._IN_PLACE_COLUMNS
-    rng = np.random.default_rng(1212)
-    amps = oracles.random_state(rng, 2 ** n)
-    layouts = in_place = 0
-    for k in range(1, 5):
-        for qubits in itertools.combinations(range(n), k):
-            for d in range(k + 1):
-                for diag in itertools.combinations(qubits, d):
-                    layouts += 1
-                    shape, gathered, perm = engine._layout(qubits, diag)
-                    dense = [q for q in qubits if q not in diag]
-                    run = len(dense) >= 2 and dense[-1] - dense[0] + 1 == len(dense) \
-                        and all(q > dense[-1] for q in diag)
-                    if not run:
-                        rule = False
-                    elif dense[0]:
-                        rule = 1 << dense[0] >= columns
-                    else:
-                        rule = bool(diag) and 1 << (diag[0] - dense[-1] - 1) >= columns
-                    assert (perm is not None) == rule, (qubits, diag)
-                    if perm is None:
-                        continue
-                    in_place += 1
-                    m = 1 << len(dense)
-                    u = rng.standard_normal((2,) * d + (m, m, 2)).view(complex)[..., 0]
-                    got = run_entry((qubits, u, shape, perm, True), amps)
-                    assert np.array_equal(got, run_entry((qubits, u, shape, gathered), amps))
-    assert (layouts, in_place) == (9968, 79)
+    slot and the matrix gets at least 32 columns, or at least 4 with at most
+    2 x columns products: the columns are the 2^lo amplitudes below the run,
+    or, for lo = 0, the rows between the run and the lowest diagonal slot or
+    the top; the products are the 2^(n - k) amplitudes per value of the k
+    operand bits over the columns.  Each in-place kernel gives the gathered
+    kernel's bytes; below 4 columns they would differ in the last bits (the
+    matmul takes another BLAS path)."""
+    for n in range(4, 13):
+        rng = np.random.default_rng(1212 + n)
+        amps = oracles.random_state(rng, 2 ** n)
+        layouts = in_place = 0
+        for k in range(1, 5):
+            for qubits in itertools.combinations(range(n), k):
+                for d in range(k + 1):
+                    for diag in itertools.combinations(qubits, d):
+                        layouts += 1
+                        shape, gathered, perm = engine._layout(qubits, diag, n)
+                        assert (perm is not None) == in_place_rule(qubits, diag, n), \
+                            (n, qubits, diag)
+                        if perm is None:
+                            continue
+                        in_place += 1
+                        m = 1 << (k - d)
+                        u = rng.standard_normal((2,) * d + (m, m, 2)).view(complex)[..., 0]
+                        got = run_entry((qubits, u, shape, perm, True), amps)
+                        assert np.array_equal(got, run_entry((qubits, u, shape, gathered), amps))
+        assert (layouts, in_place) == IN_PLACE_LAYOUTS[n]
 
 
 def test_filter_blocks_run_in_place():
-    # 8 spins + ancilla 8: only the blocks on (5, 6, 7, 8) keep 2^5
-    # amplitudes below their run of non-diagonal qubits (on the others the
-    # run starts at qubit 1 or 3, or a diagonal slot lies inside it), so
-    # they alone multiply in place: dense, or diagonal in qubits 7 and 8
+    # 8 spins + ancilla 8: a 4-qubit block leaves 2^5 amplitudes per value of
+    # its bits.  The run of non-diagonal qubits of the blocks on (5, 6, 7, 8)
+    # gets 32 columns, and on (3, 4, 5, 8) 8 columns for 4 products each, so
+    # those multiply in place: dense, or diagonal in 8 and maybe the run's
+    # top qubit.  The run of (1, 2, 3, 8) gets 2 columns; in the blocks on
+    # (0, 1, 8) and (0, 1, 7, 8) a non-diagonal qubit lies apart from it
     circ, _ = fuse_pipeline(oracles.chain_filter_circuit(8, 2, 2))
     plan = engine._compile(circ, "mma", 8)
     entries = [b for seg in oracles.plan_blocks(plan) for b in seg]
     assert {(b.qubits, b.u.shape) for b in entries if b.in_place} == \
-        {((5, 6, 7, 8), (16, 16)), ((5, 6, 7, 8), (2, 2, 4, 4))}
+        {((5, 6, 7, 8), (16, 16)), ((5, 6, 7, 8), (2, 2, 4, 4)),
+         ((3, 4, 5, 8), (2, 8, 8)), ((3, 4, 5, 8), (2, 2, 4, 4))}
 
 
 def executed(circ):
@@ -438,7 +454,7 @@ def test_compile_cuts_the_plan_at_each_measure_and_reset(seed, n, filters, layou
     plan = engine._compile(circ, "rejection", None)
 
     got = [b for seg in oracles.plan_blocks(plan) for b in seg]
-    want = [engine._fuse_block(block) for block in packed_blocks(circ)]
+    want = [engine._fuse_block(block, n) for block in packed_blocks(circ)]
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.qubits == w.qubits and np.array_equal(g.u, w.u) and g[2:] == w[2:]
@@ -461,7 +477,7 @@ def test_compile_fuses_each_distinct_block_once(monkeypatch, fuse):
     real = engine._fuse_block
     calls = []
     monkeypatch.setattr(engine, "_fuse_block",
-                        lambda gates: calls.append(gates) or real(gates))
+                        lambda gates, n: calls.append(gates) or real(gates, n))
     plan = engine._compile(circ, "mma", 5)
     blocks = packed_blocks(circ)
     distinct = {tuple((u.tobytes(), qs) for u, qs in b) for b in blocks}
@@ -470,7 +486,7 @@ def test_compile_fuses_each_distinct_block_once(monkeypatch, fuse):
     assert len(entries) == len(blocks)
     assert len({id(b) for b in entries}) == len(distinct)  # repeats share one entry
     for got, block in zip(entries, blocks):
-        want = real(block)  # the same block fused on its own
+        want = real(block, 5)  # the same block fused on its own
         assert got.qubits == want.qubits == tuple(sorted({q for _, qs in block for q in qs}))
         assert np.array_equal(got.u, want.u) and got[2:] == want[2:]
 
@@ -1102,8 +1118,8 @@ def test_run_refuses_an_operator_it_cannot_measure_before_it_executes(
             circ.measure(q, circ.clbit_index("r", q))
     h = PauliHamiltonian(len(next(iter(terms))), terms)
     calls = []
-    real = engine._kernel_block
-    monkeypatch.setattr(engine, "_kernel_block",
+    real = engine._kernel_calls
+    monkeypatch.setattr(engine, "_kernel_calls",
                         lambda *args: calls.append(None) or real(*args))
     with pytest.raises(ValueError, match=message):
         run(circ, mode, 64, 5, 2 if mode == "mma" else None, hamiltonian=h)
@@ -1194,19 +1210,65 @@ def test_rejection_matches_per_shot_loop(seed, n, layout, dead, shots, energy):
     assert without_wall_time(got) == without_wall_time(want)
 
 
+def many_leaves_circuit(n: int, resets: int) -> Circuit:
+    """resets 50/50 resets, each outcome copied onto a qubit above them
+    first: 2^resets accepted prefixes, each with its own CDF."""
+    c = Circuit(n, [("r", n)])
+    for q in range(resets):
+        c.h(q)
+        c.cx(q, q + resets)
+        c.reset(q)
+    for q in range(n):
+        c.measure(q, q)
+    return c
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 7),
+       layout=st.lists(st.sampled_from(["filter", "reset", "reset"]), min_size=1, max_size=8),
+       shots=st.sampled_from([1, 37, 600]), energy=st.booleans(), leaves=st.booleans())
+@example(seed=3, n=7, layout=["reset"] * 8, shots=4097, energy=True, leaves=False)
+@example(seed=4, n=2, layout=["filter"], shots=4097, energy=False, leaves=True)
+@settings(max_examples=20, deadline=None)
+def test_block_drawn_rejection_equals_shot_by_shot_draws(seed, n, layout, shots, energy, leaves):
+    """_execute_rejection against the former shot loop kept in oracles, on
+    branching resets (rejection_circuit) or on 2^5 leaves, with chunks of
+    draws that end inside a shot and, from 4,097 shots, chunks cut to their
+    cap: the same report and the generator left where the shot loop
+    leaves it."""
+    rng = np.random.default_rng(seed)
+    circ = many_leaves_circuit(10, 5) if leaves else rejection_circuit(rng, n, layout)
+    n = circ.n_qubits
+    h = None
+    if energy:
+        h = PauliHamiltonian(n, {"".join(rng.choice(list("IXYZ"), n)): 0.6, "Z" * n: -0.3})
+    plan = engine._compile(circ, "rejection", None)
+    got_rng, want_rng = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+    got = engine._execute_rejection(StateVector(n), plan, shots, got_rng, h)
+    want = oracles.rejection_shot_by_shot(StateVector(n), plan, shots, want_rng, h)
+    assert got == want and list(got[1]) == list(want[1])
+    raw = [g.bit_generator.random_raw(4) for g in (got_rng, want_rng)]
+    assert np.array_equal(*raw)  # nothing drawn past the last uniform used
+    if leaves and shots >= 600:
+        assert len(got[1]) == 32  # each leaf samples one string
+
+
 def count_kernel_calls(monkeypatch, n_qubits: int) -> list:
-    """Record every _kernel_block call on an n_qubits state.  _compile
-    builds block matrices on 2k-qubit states, so an odd width counts only
-    plan work."""
+    """Record every kernel run on an n_qubits state.  _kernel_calls, the one
+    kernel definition, gives the numpy calls of each kernel, which the
+    executors bind once per plan entry and run many times, so each kernel
+    gets one more call that records its run.  Block products on the
+    identity run on 2k-qubit states, so an odd width counts only plan
+    work."""
     calls = []
-    real = engine._kernel_block
+    real = engine._kernel_calls
 
-    def counted(state, *args):
-        if state.n_qubits == n_qubits:
-            calls.append(None)
-        real(state, *args)
+    def counted(a, *args):
+        kernel = real(a, *args)
+        if a.shape[0] == 1 << n_qubits:
+            return (lambda: calls.append(None), *kernel)
+        return kernel
 
-    monkeypatch.setattr(engine, "_kernel_block", counted)
+    monkeypatch.setattr(engine, "_kernel_calls", counted)
     return calls
 
 
@@ -1306,12 +1368,13 @@ from nucsim import (PauliHamiltonian, TrialState, build_filter_circuit, default_
                     fuse_pipeline, run)
 from nucsim.engine import _compile
 out = []
-for n in (14, 15):
+for n, steps, trotter in ((14, 2, 2), (15, 2, 2), (7, 6, 2000)):
     terms = {"I" * i + "X" + "I" * (n - 1 - i): 0.12 + 0.01 * i for i in range(n)}
     terms.update({"I" * i + "ZZ" + "I" * (n - 2 - i): 0.08 for i in range(n - 1)})
     terms.update({"I" * i + "YY" + "I" * (n - 2 - i): 0.03 for i in range(0, n - 1, 3)})
     h = PauliHamiltonian(n, terms)
-    circuit = build_filter_circuit(h, default_schedule(0.5, 2), 2, TrialState.basis("0" * n), n)
+    circuit = build_filter_circuit(h, default_schedule(0.5, steps), trotter,
+                                   TrialState.basis("0" * n), n)
     fused, _ = fuse_pipeline(circuit)
     padded = PauliHamiltonian(n + 1, {s + "I": c for s, c in terms.items()})
     report = run(fused, "mma", 64, 9, n, hamiltonian=padded)
@@ -1326,8 +1389,10 @@ print(json.dumps(out))
 def test_library_run_identical_across_blas_thread_counts():
     # 2^15 and 2^16 amplitudes: from about 2^14 a BLAS dot product splits
     # across threads, so probabilities and energies reduced by one would
-    # differ in the last bits between these two runs; both chains run
-    # blocks in place and energy terms with X, Y and Z flips
+    # differ in the last bits between these two runs; then a deep 8-qubit
+    # filter (1.4e6 gates) whose blocks nearly all run in place, with few
+    # columns each; every chain runs blocks in place and energy terms with
+    # X, Y and Z flips
     outs = []
     for blas_threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
@@ -1335,6 +1400,6 @@ def test_library_run_identical_across_blas_thread_counts():
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outs.append(json.loads(proc.stdout))
-    assert [case["n_qubits"] for case in outs[0]] == [15, 16]
+    assert [case["n_qubits"] for case in outs[0]] == [15, 16, 8]
     assert all(case["in_place"] > 0 for case in outs[0])  # blocks multiplied in place
     assert outs[0] == outs[1]

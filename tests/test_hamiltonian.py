@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nucsim import (DegenerateSpectrumError, PauliHamiltonian,
+from nucsim import (DegenerateSpectrumError, PauliHamiltonian, cli, hamiltonian,
                     SecondQuantizedInput, build_hamiltonian, ground_state,
                     jacobi_eigh, jw_annihilation, jw_creation,
                     load_hamiltonian_text, shift_rescale)
@@ -434,6 +434,23 @@ v 0 1 0 1 0.25
     for bad in ("t 0 0 nan", "t 0 1 inf", "v 0 1 0 1 -inf"):
         with pytest.raises(ValueError, match="^line 2: .*not finite"):
             parse_second_quantized_text(f"ns 2\n{bad}\n")
+
+
+def test_a_mode_count_too_wide_to_simulate_is_refused_before_any_operator(monkeypatch, tmp_path):
+    # the engine's size guard, stated once: 4,001 qubits need far more than
+    # physical memory, so the loader stops before the Jordan-Wigner build,
+    # whose cost grows as the square of the mode count
+    def built(*args):
+        raise AssertionError("a Jordan-Wigner operator was built")
+
+    monkeypatch.setattr(hamiltonian, "jw_creation", built)
+    for text in ("t 0 4000 0.5\n", "ns 4001\nt 0 1 0.5\n", "ns 1000000000000\nt 0 1 0.5\n"):
+        with pytest.raises(ResourceLimitError, match="physical memory"):
+            load_hamiltonian_text(text)
+    path = tmp_path / "wide.txt"
+    path.write_text("t 0 4000 0.5\n", encoding="utf-8")
+    assert cli.main(["spectrum", "--hamiltonian", str(path)]) == 4
+    assert parse_second_quantized_text("t 0 3 0.5\n").n_modes == 4  # narrow texts load
 
 
 def test_mode_count_inferred_from_indices():
